@@ -58,10 +58,9 @@ ModeResult RunMode(const Column& column, bool snapshot_reads,
                    size_t update_threads, size_t updates_per_thread) {
   IndexConfig config;
   // Full scan per analytical read: the longest read the layer can produce.
+  // The chain is maintained in both modes; only the read path differs, so
+  // the write-side publication cost is identical and cancels out.
   config.method = IndexMethod::kScan;
-  config.snapshot_reads = true;  // chain maintained in both modes; only the
-                                 // read path differs, so the write-side COW
-                                 // cost is identical and cancels out.
   UpdatableIndex index(column, config);
   const Value domain = static_cast<Value>(column.size());
 

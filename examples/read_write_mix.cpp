@@ -29,7 +29,6 @@ double MeasureInterferenceMs(bool snapshot_reads) {
   constexpr int kUpdates = 1'500;
   IndexConfig config;
   config.method = IndexMethod::kScan;   // every read = full O(n) scan
-  config.snapshot_reads = true;         // maintain the version chain
   UpdatableIndex orders(Column::UniqueRandom("amount", kRows, 7), config);
 
   std::atomic<bool> stop{false};

@@ -543,14 +543,14 @@ CrackingIndex::BoundResult CrackingIndex::ResolveBound(Value v,
             r.latch_busy = true;
             return r;
           }
-          // Conflict avoidance (Section 3.3): forgo the refinement and
-          // answer by scanning the piece extent as of now.
+          // Conflict avoidance (Section 3.3): forgo the refinement, but
+          // resolve `v` again from the top. The latch holder may already
+          // have split `piece`, so its extent from before the attempt can
+          // be stale; the re-resolution answers from the current crack,
+          // sorted piece, or piece extent instead.
           ctx->stats.refinement_skipped = true;
-          MaybeSharedLock sl(&structure_mu_, latched_mode);
-          BoundResult r;
-          r.scan_begin = piece->begin;
-          r.scan_end = piece->end;
-          return r;
+          refine_allowed = false;
+          continue;
         }
       } else {
         piece->latch.WriteLock(v, lat);

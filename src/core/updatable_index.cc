@@ -28,9 +28,9 @@ Lock AccountedLock(Mutex& mu, void (LatchStats::*record)(int64_t, bool),
 
 // The two differential views the shared combine logic below runs against.
 // Latched reads walk the live ordered containers (under the shared
-// side-table latch); snapshot reads walk an immutable SideStoreVersion's
-// sorted vectors (no latch). Keeping ONE combine implementation over both
-// is what guarantees the two paths can never diverge semantically.
+// side-table latch); snapshot reads fold a pinned snapshot (no latch).
+// Keeping ONE combine implementation over both is what guarantees the two
+// paths can never diverge semantically.
 
 /// Live side stores (mu_ held, shared suffices).
 struct MapDiffView {
@@ -74,39 +74,14 @@ struct MapDiffView {
   }
 };
 
-/// Pinned immutable version (no latch needed).
-struct VersionDiffView {
-  const SideStoreVersion& v;
-
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
-    v.InsertCountSum(range, count, sum);
-  }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
-    v.AntiMatterCountSum(range, count, sum);
-  }
-  bool AnyAntiMatter() const { return !v.anti_matter.empty(); }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    return v.AnyAntiMatterIn(range);
-  }
-  bool HidesRow(Value value, RowId id) const { return v.HidesRow(value, id); }
-  template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
-    for (size_t i = v.FirstInsertAtOrAbove(range.lo);
-         i < v.inserts.size() && v.inserts[i].first < range.hi; ++i) {
-      fn(v.inserts[i].first, v.inserts[i].second);
-    }
-  }
-};
-
-/// Pinned delta-chain snapshot: the consolidated base plus the era-local
-/// suffix of O(1) commit deltas, folded once per query into three sorted
-/// vectors. The arithmetic leans on (value, rowID) uniqueness — row ids
-/// are never reused, so a chained kCancelInsert names exactly one insert
-/// that the base or the chain currently counts, and anti-matter is purely
-/// additive until a checkpoint resets both stores. Fold cost is
-/// O(chain log chain), bounded by the consolidation threshold.
+/// Pinned snapshot: the consolidated base plus the era-local suffix of
+/// O(1) commit deltas, folded once per query into three sorted vectors
+/// (all empty when the snapshot is exactly a consolidated state). The
+/// arithmetic leans on (value, rowID) uniqueness — row ids are never
+/// reused, so a chained kCancelInsert names exactly one insert that the
+/// base or the chain currently counts, and anti-matter is purely additive
+/// until a checkpoint resets both stores. Fold cost is O(chain log chain),
+/// bounded by the consolidation threshold.
 struct DeltaChainView {
   const SideStoreVersion& base;
   std::vector<std::pair<Value, RowId>> chain_inserts;
@@ -286,7 +261,8 @@ UpdatableIndex::UpdatableIndex(Column base, IndexConfig config,
       lock_manager_(lock_manager),
       lock_resource_(std::move(lock_resource)),
       base_(std::make_unique<Column>(std::move(base))),
-      next_row_id_(static_cast<RowId>(base_->size())) {
+      next_row_id_(static_cast<RowId>(base_->size())),
+      snapshots_(next_row_id_) {
   RebuildIndexLocked();
 }
 
@@ -337,13 +313,6 @@ void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
                                        RowId row_id) {
   const uint64_t epoch =
       commit_epoch_.fetch_add(1, std::memory_order_release) + 1;
-  if (!config_.snapshot_reads) return;
-  if (config_.snapshot_publication == SnapshotPublication::kCopyChain) {
-    // Ablation baseline: O(pending) flat copy per commit under the writer
-    // latch — the cost delta chains remove.
-    snapshots_.Publish(MaterializeVersionLocked());
-    return;
-  }
   // O(1) publication; the chain is consolidated into a flat base before
   // readers would fold a suffix longer than the adaptive threshold
   // (>= floor so tiny stores don't thrash, pending/8 so the occasional
@@ -359,23 +328,9 @@ void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
 }
 
 Snapshot UpdatableIndex::CaptureSnapshot() const {
-  if (config_.snapshot_reads) {
-    // The chain is maintained by the write path: the capture is one short
-    // pin on the manager, no side-table latch at all.
-    return snapshots_.Acquire();
-  }
-  // Chain not maintained: materialize a consistent one-off version under
-  // the shared latch (O(pending)); it still registers with the manager so
-  // checkpoint drains account for it. The pin must never be awaited while
-  // mu_ is held — a draining checkpoint is about to take mu_ exclusively —
-  // so a rebase collision drops the latch and retries after the rebase.
-  for (;;) {
-    snapshots_.AwaitRebaseComplete();
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    Snapshot snapshot =
-        snapshots_.TryAcquireMaterialized(MaterializeVersionLocked());
-    if (snapshot.valid()) return snapshot;
-  }
+  // The write path maintains the chain: the capture is one short pin on
+  // the manager, no side-table latch at all.
+  return snapshots_.Acquire();
 }
 
 Status UpdatableIndex::ExecuteSnapshot(const Query& query,
@@ -394,16 +349,8 @@ Status UpdatableIndex::ExecuteSnapshot(const Query& query,
   // wrapped index are stable while the snapshot is pinned, because
   // Checkpoint() drains every outstanding snapshot before swapping them
   // (synchronized through the SnapshotManager mutex).
-  Status s;
-  if (snapshot.delta_head() == nullptr) {
-    // Exactly a consolidated state — zero-copy view over its vectors.
-    s = CombineWithDifferentials(query, VersionDiffView{snapshot.version()},
-                                 *base_, index_.get(), ctx, result);
-  } else {
-    // Fold the era-local delta suffix over the consolidated base.
-    s = CombineWithDifferentials(query, DeltaChainView(snapshot), *base_,
-                                 index_.get(), ctx, result);
-  }
+  Status s = CombineWithDifferentials(query, DeltaChainView(snapshot),
+                                      *base_, index_.get(), ctx, result);
   if (s.ok() && query.kind == QueryKind::kRowIds) {
     result->count = result->row_ids.size();
   }
@@ -535,8 +482,8 @@ Status UpdatableIndex::Checkpoint() {
   // pin across an Insert), so waiting for pins while holding mu_
   // exclusively would deadlock the whole index. With the drain complete
   // and rebasing latched in the manager, no new pin can appear before the
-  // exclusive acquisition below (both capture paths check the rebase
-  // flag without holding mu_).
+  // exclusive acquisition below (captures check the rebase flag without
+  // holding mu_).
   snapshots_.BeginRebase();
   std::unique_lock<std::shared_mutex> lk(mu_);
   std::vector<Value> values;
@@ -586,18 +533,11 @@ void UpdatableIndex::RestoreState(
   anti_matter_.insert(anti_matter.begin(), anti_matter.end());
   next_row_id_ = next_row_id;
   commit_epoch_.store(epoch, std::memory_order_release);
-  if (config_.snapshot_reads) {
-    // Re-seed the version chain at the restored epoch so the first
-    // snapshot capture after recovery sees the restored differentials
-    // (monotonic epochs hold: the constructor-time state sits at epoch 0,
-    // below any restored epoch). Delta mode installs the restored state as
-    // a consolidated base; copy mode publishes it as the next flat copy.
-    if (config_.snapshot_publication == SnapshotPublication::kCopyChain) {
-      snapshots_.Publish(MaterializeVersionLocked());
-    } else {
-      snapshots_.Consolidate(MaterializeVersionLocked());
-    }
-  }
+  // Re-seed the version chain at the restored epoch so the first snapshot
+  // capture after recovery sees the restored differentials (monotonic
+  // epochs hold: the constructor-time state sits at epoch 0, at or below
+  // any restored epoch).
+  snapshots_.Consolidate(MaterializeVersionLocked());
 }
 
 size_t UpdatableIndex::num_rows() const {

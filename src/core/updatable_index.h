@@ -45,19 +45,18 @@ namespace adaptidx {
 ///
 /// MVCC snapshot reads (Section 4.3: "merge steps can run as multi-version
 /// system transactions"): every committed update advances a monotonically
-/// increasing `commit_epoch()`. With `IndexConfig::snapshot_reads` enabled
-/// the writer additionally publishes each commit to the version chain —
-/// by default one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
+/// increasing `commit_epoch()` and publishes the commit to the version
+/// chain as one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
 /// linked onto the current version, periodically consolidated into a flat
-/// `SideStoreVersion` so readers never fold an unbounded suffix
-/// (`IndexConfig::snapshot_publication` selects the O(pending) copy-chain
-/// baseline instead). A query whose context sets
-/// `QueryContext::snapshot_reads` captures a `Snapshot` (one short pin,
-/// O(1)) and answers count/sum/rowIDs/minmax against exactly that epoch
-/// *without holding the side-table latch during the read* — a long
-/// analytical scan no longer blocks the update stream. A query carrying a
-/// `QueryContext::snapshot_scope` instead reuses the scope's pinned epoch
-/// across every query of the scope (transactional repeatable reads).
+/// `SideStoreVersion` so readers never fold an unbounded suffix. The chain
+/// is maintained on every index, whatever its config. A query whose
+/// context sets `QueryContext::snapshot_reads` captures a `Snapshot` (one
+/// short pin, O(1)) and answers count/sum/rowIDs/minmax against exactly
+/// that epoch *without holding the side-table latch during the read* — a
+/// long analytical scan no longer blocks the update stream. A query
+/// carrying a `QueryContext::snapshot_scope` instead reuses the scope's
+/// pinned epoch across every query of the scope (transactional repeatable
+/// reads).
 /// Version and delta reclamation is epoch-based — state is dropped once no
 /// pin can observe it — and `Checkpoint()` drains outstanding snapshots
 /// before swapping the base (so a thread must not checkpoint while holding
@@ -117,10 +116,9 @@ class UpdatableIndex : public AdaptiveIndex {
 
   // ---- snapshot reads ---------------------------------------------------
 
-  /// \brief Pins a consistent view at the current commit epoch. O(1) when
-  /// `IndexConfig::snapshot_reads` maintains the version chain; otherwise
-  /// the differentials are materialized on demand under a short shared
-  /// latch (O(pending)). Thread-safe; release the snapshot promptly.
+  /// \brief Pins a consistent view at the current commit epoch: one short
+  /// O(1) pin on the version chain, no side-table latch. Blocks while a
+  /// checkpoint drains. Thread-safe; release the snapshot promptly.
   Snapshot CaptureSnapshot() const;
 
   /// \brief Answers `query` against `snapshot` — repeatable: the same
@@ -137,8 +135,8 @@ class UpdatableIndex : public AdaptiveIndex {
     return commit_epoch_.load(std::memory_order_acquire);
   }
 
-  /// \brief Version-chain bookkeeping (active pins, retired/reclaimed
-  /// version counters) for tests and benchmarks. Thread-safe.
+  /// \brief Version-chain bookkeeping (active pins, delta and
+  /// consolidation counters) for tests and benchmarks. Thread-safe.
   const SnapshotManager& snapshots() const { return snapshots_; }
 
   // ---- durability hooks -------------------------------------------------
@@ -202,11 +200,9 @@ class UpdatableIndex : public AdaptiveIndex {
   /// stamped with the current commit epoch. mu_ held (shared suffices).
   std::shared_ptr<SideStoreVersion> MaterializeVersionLocked() const;
 
-  /// Commits one epoch and, when the version chain is maintained,
-  /// publishes the commit — one O(1) delta node describing (`op`, `v`,
-  /// `row_id`) in delta-chain mode (consolidating when the chain reaches
-  /// the adaptive threshold), a full flat copy in copy-chain mode.
-  /// Requires mu_ held exclusively.
+  /// Commits one epoch and publishes it as one O(1) delta node describing
+  /// (`op`, `v`, `row_id`), consolidating when the chain reaches the
+  /// adaptive threshold. Requires mu_ held exclusively.
   void CommitEpochLocked(SideStoreDelta::Op op, Value v, RowId row_id);
 
   /// Chain length at which the next commit consolidates:
@@ -234,7 +230,8 @@ class UpdatableIndex : public AdaptiveIndex {
   /// Committed-update counter; written under mu_ exclusive, read lock-free
   /// (epoch-lag accounting).
   std::atomic<uint64_t> commit_epoch_{0};
-  /// Version chain + snapshot registry (drain, epoch reclamation).
+  /// Version chain + snapshot registry (drain, epoch reclamation). Seeded
+  /// with the base size as the next row id; declared after `next_row_id_`.
   mutable SnapshotManager snapshots_;
 };
 

@@ -280,17 +280,22 @@ Status WriteAheadLog::Rotate() {
   pending_records_ = 0;
   next = next_lsn_;
   claimed_lsn_ = next - 1;
-  std::lock_guard<std::mutex> io(io_mu_);
-  lk.unlock();
   uint64_t bytes = 0;
   uint64_t syncs = 0;
-  Status s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
-  if (s.ok()) {
-    if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
-    fd_ = -1;
+  Status s;
+  {
+    std::lock_guard<std::mutex> io(io_mu_);
+    lk.unlock();
+    s = WriteAndSyncLocked(batch, /*force_sync=*/true, &bytes, &syncs);
+    if (s.ok()) {
+      if (::close(fd_) != 0) s = Status::Corruption("wal close failed");
+      fd_ = -1;
+    }
+    if (s.ok()) s = OpenSegmentLocked(next);
+    if (s.ok()) s = SyncPath(dir_);
   }
-  if (s.ok()) s = OpenSegmentLocked(next);
-  if (s.ok()) s = SyncPath(dir_);
+  // io_mu_ is released before mu_ is taken again: re-locking mu_ under
+  // io_mu_ would invert the order above, and two rotations could deadlock.
   lk.lock();
   if (!s.ok()) {
     if (io_error_.ok()) io_error_ = s;

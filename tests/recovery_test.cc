@@ -215,6 +215,38 @@ TEST_F(RecoveryTest, CheckpointPlusWalSuffixReplays) {
   EXPECT_EQ(count, 35u);
 }
 
+TEST_F(RecoveryTest, CheckpointBeforeFirstCommitKeepsRowIdSequence) {
+  // The image of a checkpoint taken before any commit must carry the base
+  // size as the next row id; resuming at 0 would make the replayed insert
+  // diverge from the row id its WAL record logged.
+  Column seed = Column::UniqueRandom("A", 1000, 12);
+  LockManager lm;
+  RowId logged = 0;
+  {
+    std::unique_ptr<DurableIndex> di;
+    ASSERT_TRUE(OpenDurable(dir_, seed, &lm, &di).ok());
+    ASSERT_TRUE(di->Checkpoint().ok());
+    QueryContext ctx;
+    ctx.txn_id = 1;
+    ASSERT_TRUE(di->index()->Insert(60000, &ctx, &logged).ok());
+    EXPECT_EQ(logged, seed.size());
+  }
+  std::unique_ptr<DurableIndex> di;
+  Status s = OpenDurable(dir_, seed, &lm, &di);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(di->recovery_stats().checkpoint_loaded);
+  EXPECT_EQ(di->recovery_stats().records_replayed, 1u);
+  QueryContext ctx;
+  std::vector<RowId> ids;
+  ASSERT_TRUE(
+      di->index()->RangeRowIds(ValueRange{60000, 60001}, &ctx, &ids).ok());
+  EXPECT_EQ(ids, std::vector<RowId>{static_cast<RowId>(seed.size())});
+  RowId next = 0;
+  ctx.txn_id = 2;
+  ASSERT_TRUE(di->index()->Insert(60001, &ctx, &next).ok());
+  EXPECT_EQ(next, seed.size() + 1);
+}
+
 TEST_F(RecoveryTest, FoldInLogReplaysDeterministically) {
   Column seed = Column::UniqueRandom("A", 500, 13);
   LockManager lm;

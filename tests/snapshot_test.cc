@@ -15,13 +15,6 @@
 namespace adaptidx {
 namespace {
 
-IndexConfig SnapConfig(IndexMethod method = IndexMethod::kCrack) {
-  IndexConfig config;
-  config.method = method;
-  config.snapshot_reads = true;
-  return config;
-}
-
 /// A multiset-backed oracle mirroring the logical content of an
 /// UpdatableIndex, with O(log n) range count/sum.
 struct LogicalOracle {
@@ -46,7 +39,7 @@ struct LogicalOracle {
 TEST(SnapshotTest, CaptureReflectsCurrentState) {
   Column col = Column::UniqueRandom("A", 2000, 1);
   RangeOracle oracle(col);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   Snapshot snap = index.CaptureSnapshot();
   ASSERT_TRUE(snap.valid());
   EXPECT_EQ(snap.epoch(), 0u);
@@ -65,9 +58,30 @@ TEST(SnapshotTest, CaptureReflectsCurrentState) {
   EXPECT_EQ(result.sum, oracle.Sum(100, 900));
 }
 
+TEST(SnapshotTest, FreshCaptureReportsBaseSizeAsNextRowId) {
+  // The manager starts from the index's real state, not an empty one: a
+  // capture before the first commit (a checkpoint image, say) must resume
+  // the row-id sequence at the base size.
+  Column col = Column::UniqueRandom("A", 1000, 26);
+  UpdatableIndex index(col, IndexConfig());
+  Snapshot snap = index.CaptureSnapshot();
+  ASSERT_TRUE(snap.valid());
+  EXPECT_EQ(snap.epoch(), 0u);
+  EXPECT_EQ(snap.next_row_id(), col.size());
+  EXPECT_EQ(snap.Materialize().next_row_id, col.size());
+  snap.Release();
+
+  QueryContext uctx;
+  uctx.txn_id = 1;
+  RowId id = 0;
+  ASSERT_TRUE(index.Insert(5, &uctx, &id).ok());
+  EXPECT_EQ(id, col.size());
+  EXPECT_EQ(index.CaptureSnapshot().next_row_id(), col.size() + 1);
+}
+
 TEST(SnapshotTest, InvalidSnapshotIsRejected) {
   Column col = Column::UniqueRandom("A", 100, 2);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   Snapshot empty;  // never captured
   QueryContext ctx;
   QueryResult result;
@@ -77,7 +91,7 @@ TEST(SnapshotTest, InvalidSnapshotIsRejected) {
                   .IsInvalidArgument());
 
   // A snapshot of another index is rejected, not silently mis-answered.
-  UpdatableIndex other(Column::UniqueRandom("A", 100, 3), SnapConfig());
+  UpdatableIndex other(Column::UniqueRandom("A", 100, 3), IndexConfig());
   Snapshot foreign = other.CaptureSnapshot();
   EXPECT_TRUE(index
                   .ExecuteSnapshot(Query::Count("", "", 0, 10), foreign, &ctx,
@@ -92,7 +106,7 @@ TEST(SnapshotTest, RepeatableReadUnderUpdateStream) {
   // returns results identical to its at-capture oracle, across >= 1000
   // committed updates.
   Column col = Column::UniformRandom("A", 4000, 0, 10000, 4);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   QueryContext uctx;
   uctx.txn_id = 1;
 
@@ -204,7 +218,7 @@ TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
   // Interleaved update stream; after every burst, the snapshot path, the
   // latched path, and a logical multiset oracle must agree on all kinds.
   Column col = Column::UniformRandom("A", 3000, 0, 5000, 5);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   LogicalOracle oracle;
   for (Value v : col.values()) oracle.values.insert(v);
   std::vector<std::pair<Value, RowId>> live;
@@ -285,19 +299,20 @@ TEST(SnapshotTest, SnapshotMatchesLatchedOracleAcrossKinds) {
   EXPECT_GT(index.latch_stats().snapshot_reads(), 0u);
 }
 
-TEST(SnapshotTest, OnDemandCaptureWorksWithoutMaintainedChain) {
-  // config.snapshot_reads = false: captures materialize under a short
-  // latch instead of pinning the chain, with identical semantics.
-  IndexConfig config;
-  config.method = IndexMethod::kCrack;
-  ASSERT_FALSE(config.snapshot_reads);
+TEST(SnapshotTest, DefaultConfigCapturesThroughChain) {
+  // A default IndexConfig maintains the chain like any other: every commit
+  // publishes one delta node and a capture pins the chain head.
   Column col = Column::UniqueRandom("A", 1000, 6);
-  UpdatableIndex index(col, config);
+  UpdatableIndex index(col, IndexConfig());
   QueryContext uctx;
   uctx.txn_id = 1;
   ASSERT_TRUE(index.Insert(500, &uctx).ok());
+  EXPECT_EQ(index.snapshots().deltas_published(), 1u);
 
   Snapshot snap = index.CaptureSnapshot();
+  EXPECT_EQ(snap.epoch(), 1u);
+  EXPECT_EQ(snap.chain_length(), 1u);
+  ASSERT_NE(snap.delta_head(), nullptr);
   QueryContext ctx;
   QueryResult r;
   ASSERT_TRUE(
@@ -309,15 +324,15 @@ TEST(SnapshotTest, OnDemandCaptureWorksWithoutMaintainedChain) {
       index.ExecuteSnapshot(Query::Count("", "", 500, 501), snap, &ctx, &r)
           .ok());
   EXPECT_EQ(r.count, 2u);
-  // The chain is not maintained: nothing was published by the writes.
-  EXPECT_EQ(index.snapshots().versions_published(), 0u);
+  EXPECT_EQ(index.snapshots().deltas_published(), 2u);
+  EXPECT_EQ(index.snapshots().chain_length(), 2u);
 }
 
 // ------------------------------------------------ checkpoint drain + reclaim
 
 TEST(SnapshotTest, CheckpointDrainsOutstandingSnapshots) {
   Column col = Column::UniqueRandom("A", 1000, 7);
-  auto index = std::make_unique<UpdatableIndex>(col, SnapConfig());
+  auto index = std::make_unique<UpdatableIndex>(col, IndexConfig());
   QueryContext uctx;
   uctx.txn_id = 1;
   ASSERT_TRUE(index->Insert(123456, &uctx).ok());
@@ -366,7 +381,7 @@ TEST(SnapshotTest, CheckpointCompletesWhilePinHolderUsesIndex) {
   // while the checkpoint waits on its pin; the old order (latch first,
   // then drain) deadlocked the whole index on this shape.
   Column col = Column::UniqueRandom("A", 1000, 21);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   std::atomic<bool> pin_taken{false};
 
   std::thread holder([&] {
@@ -398,7 +413,7 @@ TEST(SnapshotTest, DestructionDrainsOutstandingSnapshots) {
   // destruction (not dangle into freed memory); once released, the
   // surviving handle's destructor touches nothing of the index.
   auto index = std::make_unique<UpdatableIndex>(
-      Column::UniqueRandom("A", 500, 23), SnapConfig());
+      Column::UniqueRandom("A", 500, 23), IndexConfig());
   std::atomic<bool> pin_taken{false};
   std::atomic<bool> destroyed{false};
   std::thread holder([&] {
@@ -418,7 +433,7 @@ TEST(SnapshotTest, DestructionDrainsOutstandingSnapshots) {
 
 TEST(SnapshotTest, ConcurrentCheckpointsSerialize) {
   Column col = Column::UniqueRandom("A", 500, 22);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
@@ -437,39 +452,90 @@ TEST(SnapshotTest, ConcurrentCheckpointsSerialize) {
   EXPECT_EQ(snap.base_generation(), 15u);  // one bump per checkpoint
 }
 
-TEST(SnapshotTest, EpochReclamationRetiresUnpinnedVersions) {
-  // Copy-chain publication: one full version per commit, retired and
-  // reclaimed individually. (Delta-chain publication retires nothing per
-  // commit — see DeltaChainConsolidationBoundsReaderFold below.)
-  Column col = Column::UniqueRandom("A", 500, 8);
-  IndexConfig config = SnapConfig();
-  config.snapshot_publication = SnapshotPublication::kCopyChain;
+TEST(SnapshotTest, PinHeldAcrossConsolidationsKeepsItsEpoch) {
+  // A pin taken mid-era holds a chain suffix and a consolidated base that
+  // later consolidations supersede. It must keep answering at its epoch
+  // while they run behind it, and once it is released, fresh captures and
+  // the latched path must agree with the logical content again.
+  Column col = Column::UniformRandom("A", 600, 0, 2000, 8);
+  IndexConfig config;
+  config.snapshot_consolidate_min = 4;
+  config.snapshot_consolidate_max = 8;
   UpdatableIndex index(col, config);
+  LogicalOracle oracle;
+  for (Value v : col.values()) oracle.values.insert(v);
+  std::vector<std::pair<Value, RowId>> live;
+  for (size_t i = 0; i < col.size(); ++i) {
+    live.emplace_back(col[i], static_cast<RowId>(i));
+  }
+  Rng rng(27);
   QueryContext uctx;
-  uctx.txn_id = 1;
+  uint64_t txn = 0;
+  // Inserts and deletes (of base rows and of pending inserts) 2:1.
+  auto commit_some = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      uctx.txn_id = ++txn;
+      if (rng.Uniform(3) != 0 || live.empty()) {
+        const Value v = rng.UniformRange(0, 2000);
+        RowId id;
+        ASSERT_TRUE(index.Insert(v, &uctx, &id).ok());
+        oracle.values.insert(v);
+        live.emplace_back(v, id);
+      } else {
+        const size_t pick = rng.Uniform(live.size());
+        const auto [v, id] = live[pick];
+        ASSERT_TRUE(index.Delete(v, id, &uctx).ok());
+        oracle.values.erase(oracle.values.find(v));
+        live.erase(live.begin() + static_cast<long>(pick));
+      }
+    }
+  };
 
-  // With no snapshot active, every superseded version is reclaimed as soon
-  // as it retires.
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(index.Insert(i, &uctx).ok());
-  EXPECT_EQ(index.snapshots().versions_retired(), 20u);
-  EXPECT_EQ(index.snapshots().versions_reclaimed(), 20u);
-  EXPECT_EQ(index.snapshots().retired_chain_length(), 0u);
-
-  // A pinned snapshot holds the reclamation floor at its epoch...
+  commit_some(13);  // one consolidation behind, a chain suffix in front
   Snapshot pin = index.CaptureSnapshot();
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(index.Insert(100 + i, &uctx).ok());
-  EXPECT_EQ(index.snapshots().oldest_active_epoch(), pin.epoch());
-  EXPECT_GT(index.snapshots().retired_chain_length(), 0u);
+  ASSERT_GE(pin.chain_length(), 1u);
+  const LogicalOracle at_pin = oracle;
+  const uint64_t consolidations_at_pin = index.snapshots().consolidations();
 
-  // ...and releasing it reclaims the whole tail.
+  QueryContext ctx;
+  auto expect_pin_answers = [&](Value lo, Value hi) {
+    QueryResult r;
+    ASSERT_TRUE(
+        index.ExecuteSnapshot(Query::Count("", "", lo, hi), pin, &ctx, &r)
+            .ok());
+    EXPECT_EQ(r.count, at_pin.Count(lo, hi)) << lo << ".." << hi;
+    ASSERT_TRUE(
+        index.ExecuteSnapshot(Query::Sum("", "", lo, hi), pin, &ctx, &r)
+            .ok());
+    EXPECT_EQ(r.sum, at_pin.Sum(lo, hi)) << lo << ".." << hi;
+  };
+  for (int round = 0; round < 6; ++round) {
+    commit_some(20);
+    expect_pin_answers(0, 2000);
+    expect_pin_answers(300, 1200);
+  }
+  EXPECT_GE(index.snapshots().consolidations(), consolidations_at_pin + 3);
+  EXPECT_EQ(index.snapshots().oldest_active_epoch(), pin.epoch());
+
   pin.Release();
-  // Reclamation runs on release and on the next publish; one more commit
-  // flushes deterministically.
-  ASSERT_TRUE(index.Insert(999, &uctx).ok());
-  EXPECT_EQ(index.snapshots().retired_chain_length(), 0u);
-  EXPECT_EQ(index.snapshots().versions_reclaimed(),
-            index.snapshots().versions_retired());
   EXPECT_EQ(index.snapshots().active_snapshots(), 0u);
+  EXPECT_EQ(index.snapshots().oldest_active_epoch(),
+            index.snapshots().current_epoch());
+  commit_some(7);
+  QueryContext snap_ctx;
+  snap_ctx.snapshot_reads = true;
+  for (Value lo = 0; lo < 2000; lo += 250) {
+    const ValueRange range{lo, lo + 500};
+    uint64_t c_snap = 0;
+    uint64_t c_latched = 0;
+    ASSERT_TRUE(index.RangeCount(range, &snap_ctx, &c_snap).ok());
+    ASSERT_TRUE(index.RangeCount(range, &ctx, &c_latched).ok());
+    EXPECT_EQ(c_snap, oracle.Count(lo, lo + 500));
+    EXPECT_EQ(c_latched, oracle.Count(lo, lo + 500));
+    int64_t s_snap = 0;
+    ASSERT_TRUE(index.RangeSum(range, &snap_ctx, &s_snap).ok());
+    EXPECT_EQ(s_snap, oracle.Sum(lo, lo + 500));
+  }
 }
 
 // ------------------------------------------------- delta-chain publication
@@ -480,7 +546,7 @@ TEST(SnapshotTest, DeltaChainPublishesO1NodesAndConsolidates) {
   // crosses the consolidation threshold. A pin taken before the stream
   // keeps answering at its epoch across every consolidation behind it.
   Column col = Column::UniqueRandom("A", 500, 9);
-  IndexConfig config = SnapConfig();
+  IndexConfig config;
   config.snapshot_consolidate_min = 8;
   config.snapshot_consolidate_max = 32;
   UpdatableIndex index(col, config);
@@ -529,7 +595,7 @@ TEST(SnapshotTest, DeltaChainFoldsDeletesAndCancellations) {
   // anti-matter against base rows, and cancellation of still-pending
   // inserts — against the logical multiset oracle after every commit.
   Column col = Column::UniformRandom("A", 400, 0, 1000, 10);
-  IndexConfig config = SnapConfig();
+  IndexConfig config;
   config.snapshot_consolidate_min = 1u << 20;  // never consolidate: pure chain
   UpdatableIndex index(col, config);
   LogicalOracle oracle;
@@ -595,7 +661,7 @@ TEST(SnapshotTest, ConcurrentSnapshotReadsStayConsistent) {
   constexpr int kReaders = 4;
   constexpr int kInsertsPerWriter = 400;
   Column col = Column::UniqueRandom("A", kRows, 12);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> txn{1};
   std::atomic<bool> writers_done{false};
@@ -657,7 +723,7 @@ TEST(SnapshotTest, ScopeGivesRepeatableReadsAcrossCommits) {
   // between BeginSnapshot and EndSnapshot answers at the epoch the scope's
   // first query captured, across >= 1000 interleaved commits.
   Column col = Column::UniformRandom("A", 3000, 0, 10000, 15);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   ThreadPool pool(2);
   SessionOptions sopts;
   sopts.snapshot_reads = true;
@@ -739,7 +805,7 @@ TEST(SnapshotTest, ScopedSumOtherPlanPinsOneEpoch) {
   constexpr size_t kRows = 2000;
   Column a = Column::UniformRandom("A", kRows, 0, 5000, 17);
   Column b = Column::UniformRandom("B", kRows + 300, 1, 100, 18);
-  UpdatableIndex index(a, SnapConfig());
+  UpdatableIndex index(a, IndexConfig());
   ThreadPool pool(1);
   SessionOptions sopts;
   sopts.snapshot_reads = true;
@@ -771,7 +837,7 @@ TEST(SnapshotTest, ScopedSumOtherPlanPinsOneEpoch) {
 
 TEST(SnapshotTest, ScopesDoNotNestAndRequireBalance) {
   Column col = Column::UniqueRandom("A", 100, 24);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   ThreadPool pool(1);
   auto session = Session::OnIndex(&index, &pool, SessionOptions{});
   EXPECT_TRUE(session->EndSnapshot().IsInvalidArgument());  // nothing open
@@ -787,7 +853,7 @@ TEST(SnapshotTest, ScopesDoNotNestAndRequireBalance) {
 
 TEST(SnapshotTest, ScopePinBlocksCheckpointUntilEnd) {
   Column col = Column::UniqueRandom("A", 800, 19);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   ThreadPool pool(1);
   SessionOptions sopts;
   sopts.snapshot_reads = true;
@@ -821,7 +887,7 @@ TEST(SnapshotTest, ScopePinBlocksCheckpointUntilEnd) {
 
 TEST(SnapshotTest, SessionCloseReleasesScopePins) {
   Column col = Column::UniqueRandom("A", 600, 20);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   ThreadPool pool(1);
   SessionOptions sopts;
   sopts.snapshot_reads = true;
@@ -843,7 +909,7 @@ TEST(SnapshotTest, SessionCloseReleasesScopePins) {
 TEST(SnapshotTest, SessionStampsSnapshotReads) {
   Column col = Column::UniqueRandom("A", 2000, 13);
   RangeOracle oracle(col);
-  UpdatableIndex index(col, SnapConfig());
+  UpdatableIndex index(col, IndexConfig());
   ThreadPool pool(2);
 
   SessionOptions sopts;
@@ -873,22 +939,18 @@ TEST(SnapshotTest, SessionStampsSnapshotReads) {
   EXPECT_EQ(index.latch_stats().snapshot_reads(), 3u);  // unchanged
 }
 
-TEST(SnapshotTest, ConfigKeySeparatesSnapshotReads) {
+TEST(SnapshotTest, ConfigKeyIgnoresDifferentialLayerOptions) {
+  // The catalog builds base indexes only; the differential layer's options
+  // do not change the physical index a key denotes.
   IndexConfig plain;
   plain.method = IndexMethod::kCrack;
   IndexConfig snap = plain;
   snap.snapshot_reads = true;
-  EXPECT_NE(IndexConfigKey(plain), IndexConfigKey(snap));
-  EXPECT_EQ(IndexConfigKey(snap), IndexConfigKey(snap));
-
-  // Publication mode and consolidation tuning are part of the key: a
-  // copy-chain index and a delta-chain index must not alias in a catalog.
-  IndexConfig copy = snap;
-  copy.snapshot_publication = SnapshotPublication::kCopyChain;
-  EXPECT_NE(IndexConfigKey(snap), IndexConfigKey(copy));
-  IndexConfig tuned = snap;
+  EXPECT_EQ(IndexConfigKey(plain), IndexConfigKey(snap));
+  IndexConfig tuned = plain;
   tuned.snapshot_consolidate_min = 16;
-  EXPECT_NE(IndexConfigKey(snap), IndexConfigKey(tuned));
+  tuned.snapshot_consolidate_max = 128;
+  EXPECT_EQ(IndexConfigKey(plain), IndexConfigKey(tuned));
 }
 
 TEST(SnapshotTest, SnapshotReadsWorkOverEveryBaseMethod) {
@@ -896,7 +958,8 @@ TEST(SnapshotTest, SnapshotReadsWorkOverEveryBaseMethod) {
        {IndexMethod::kScan, IndexMethod::kSort, IndexMethod::kCrack,
         IndexMethod::kAdaptiveMerge, IndexMethod::kHybrid,
         IndexMethod::kBTreeMerge}) {
-    IndexConfig config = SnapConfig(method);
+    IndexConfig config;
+    config.method = method;
     config.merge.run_size = 512;
     config.hybrid.partition_size = 512;
     config.btree.run_size = 512;
