@@ -1,20 +1,23 @@
-/// \file Ablation of MVCC snapshot reads over the differential-file layer
-/// (Section 4.2/4.3): a long analytical scan runs concurrently with an
-/// update stream through one `UpdatableIndex`, once with latched reads
-/// (every query holds the side-table latch shared for its whole duration,
-/// so each in-flight scan blocks every writer) and once with snapshot reads
-/// (the scan pins an epoch snapshot in O(1) and reads latch-free, so
-/// writers only ever wait on each other).
+/// \file Cost of the one read path of the differential-file layer
+/// (Section 4.2/4.3): every `UpdatableIndex` read is a snapshot read that
+/// folds the pinned delta-chain suffix over its consolidated base. Two
+/// parts, each at a fixed amount of read work:
 ///
-/// The base method is a plain scan so every analytical read costs a full
-/// O(rows) pass — the paper's long-reader/short-writer interference pattern
-/// at its most extreme. Reported per mode: scan throughput, update
-/// throughput, and the update-latency distribution (p50/p99/max); the
-/// acceptance signal is p99 update latency improving under snapshots (on a
-/// single-hardware-thread VM the improvement shrinks toward the scheduler
-/// quantum — see docs/BENCHMARKS.md).
+///  1. Read latency against delta-chain length. A converged cracking index
+///     answers a fixed number of 0.01%-selectivity COUNTs over 64 ranges
+///     with 0, 16, 650 and 2500 unconsolidated deltas (inserts and deletes
+///     3:1, uniform over the domain) chained behind its base. Reported per
+///     cell: read p50/p99.
+///  2. A long scan beside the update stream. One thread runs a fixed
+///     number of full-range SUMs over a plain-scan base (the longest read
+///     the layer can produce) while one updater commits inserts until the
+///     scans finish. Reported: the side-table writer's blocked wait (reads
+///     never take that latch, so it should stay near zero) and the update
+///     latency distribution.
 ///
 /// Writes BENCH_snapshot.json (override with AI_BENCH_SNAPSHOT_JSON).
+/// Scale: AI_BENCH_ROWS (1M), AI_BENCH_SNAPSHOT_READS (reads per chain
+/// cell, 20000), AI_BENCH_SNAPSHOT_SCANS (scans beside the updater, 200).
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -32,21 +36,10 @@ namespace adaptidx {
 namespace bench {
 namespace {
 
-struct ModeResult {
-  std::string name;
-  double seconds = 0;
-  uint64_t scans = 0;
-  uint64_t updates = 0;
-  double update_p50_us = 0;
-  double update_p99_us = 0;
-  double update_max_us = 0;
-  double write_wait_ms = 0;  ///< side-table latch: writers blocked (total)
-  uint64_t write_conflicts = 0;
-  uint64_t snapshot_reads = 0;
-  uint64_t max_epoch_lag = 0;
-};
+constexpr size_t kRanges = 64;
+constexpr size_t kChainLengths[] = {0, 16, 650, 2500};
 
-double Percentile(std::vector<int64_t>* ns, double p) {
+double PercentileUs(std::vector<int64_t>* ns, double p) {
   if (ns->empty()) return 0;
   const size_t k = std::min(
       ns->size() - 1, static_cast<size_t>(p * static_cast<double>(ns->size())));
@@ -54,139 +47,158 @@ double Percentile(std::vector<int64_t>* ns, double p) {
   return static_cast<double>((*ns)[k]) / 1e3;
 }
 
-ModeResult RunMode(const Column& column, bool snapshot_reads,
-                   size_t update_threads, size_t updates_per_thread) {
+struct ChainCell {
+  size_t chain_length = 0;
+  size_t pending = 0;
+  double read_p50_us = 0;
+  double read_p99_us = 0;
+};
+
+/// Part 1: one cell of the chain-length sweep.
+ChainCell RunChainCell(const Column& column, size_t chain_length,
+                       size_t reads) {
   IndexConfig config;
-  // Full scan per analytical read: the longest read the layer can produce.
-  // The chain is maintained in both modes; only the read path differs, so
-  // the write-side publication cost is identical and cancels out.
+  // Never consolidate: the cell's chain length is exactly what it commits.
+  config.snapshot_consolidate_min = size_t{1} << 30;
+  config.snapshot_consolidate_max = size_t{1} << 30;
+  UpdatableIndex index(column, config);
+  const Value domain = static_cast<Value>(column.size());
+  const Value width = std::max<Value>(1, domain / 10000);  // 0.01%
+
+  Rng rng(chain_length + 7);
+  std::vector<ValueRange> ranges;
+  for (size_t i = 0; i < kRanges; ++i) {
+    const Value lo = rng.UniformRange(0, domain - width);
+    ranges.push_back(ValueRange{lo, lo + width});
+  }
+  QueryContext ctx;
+  uint64_t count = 0;
+  // Converge: crack every range's bounds before anything is timed.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const ValueRange& r : ranges) (void)index.RangeCount(r, &ctx, &count);
+  }
+
+  // Chain: inserts and base-row deletes 3:1, uniform over the domain.
+  QueryContext uctx;
+  size_t committed = 0;
+  while (committed < chain_length) {
+    uctx.txn_id = committed + 1;
+    if (committed % 4 != 3) {
+      if (index.Insert(rng.UniformRange(0, domain), &uctx).ok()) ++committed;
+    } else {
+      const RowId id = static_cast<RowId>(rng.Uniform(column.size()));
+      if (index.Delete(column[id], id, &uctx).ok()) ++committed;
+    }
+  }
+
+  std::vector<int64_t> ns;
+  ns.reserve(reads);
+  for (size_t i = 0; i < reads; ++i) {
+    const int64_t t0 = NowNanos();
+    (void)index.RangeCount(ranges[i % kRanges], &ctx, &count);
+    ns.push_back(NowNanos() - t0);
+  }
+  ChainCell cell;
+  cell.chain_length = index.snapshots().chain_length();
+  cell.pending = index.pending_inserts() + index.pending_deletes();
+  cell.read_p50_us = PercentileUs(&ns, 0.50);
+  cell.read_p99_us = PercentileUs(&ns, 0.99);
+  return cell;
+}
+
+struct ScanResult {
+  size_t scans = 0;
+  double scan_secs = 0;
+  uint64_t updates = 0;
+  double update_p50_us = 0;
+  double update_p99_us = 0;
+  double update_max_us = 0;
+  double write_wait_ms = 0;  ///< side-table latch: writers blocked (total)
+  uint64_t write_conflicts = 0;
+  uint64_t read_acquires = 0;
+  uint64_t snapshot_reads = 0;
+  uint64_t max_epoch_lag = 0;
+};
+
+/// Part 2: a fixed number of full scans beside one updater.
+ScanResult RunScanBesideWriter(const Column& column, size_t scans) {
+  IndexConfig config;
   config.method = IndexMethod::kScan;
   UpdatableIndex index(column, config);
   const Value domain = static_cast<Value>(column.size());
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> txn{1};
-  std::atomic<uint64_t> scans{0};
-  std::vector<std::vector<int64_t>> latencies(update_threads);
-
-  StopWatch wall;
-  std::vector<std::thread> threads;
-  // One long-scanner: repeated full-range sums until the updaters finish.
-  threads.emplace_back([&] {
+  std::vector<int64_t> latencies;
+  std::thread updater([&] {
+    Rng rng(3);
     QueryContext ctx;
-    ctx.snapshot_reads = snapshot_reads;
-    while (!stop.load(std::memory_order_acquire)) {
-      int64_t sum = 0;
-      (void)index.RangeSum(ValueRange{0, domain * 2}, &ctx, &sum);
-      scans.fetch_add(1, std::memory_order_relaxed);
+    for (uint64_t txn = 1; !stop.load(std::memory_order_acquire); ++txn) {
+      ctx.txn_id = txn;
+      const int64_t t0 = NowNanos();
+      (void)index.Insert(rng.UniformRange(0, domain), &ctx);
+      latencies.push_back(NowNanos() - t0);
     }
   });
-  for (size_t u = 0; u < update_threads; ++u) {
-    threads.emplace_back([&, u] {
-      Rng rng(u * 17 + 3);
-      QueryContext ctx;
-      auto& lat = latencies[u];
-      lat.reserve(updates_per_thread);
-      for (size_t i = 0; i < updates_per_thread; ++i) {
-        ctx.txn_id = txn.fetch_add(1);
-        const Value v = rng.UniformRange(0, domain);
-        const int64_t t0 = NowNanos();
-        (void)index.Insert(v, &ctx);
-        lat.push_back(NowNanos() - t0);
-      }
-    });
+  StopWatch wall;
+  QueryContext ctx;
+  for (size_t i = 0; i < scans; ++i) {
+    int64_t sum = 0;
+    (void)index.RangeSum(ValueRange{0, domain * 2}, &ctx, &sum);
   }
-  // Join updaters (threads[1..]), then stop the scanner.
-  for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
+  const double scan_secs = wall.ElapsedSeconds();
   stop.store(true, std::memory_order_release);
-  threads[0].join();
+  updater.join();
 
-  ModeResult r;
-  r.name = snapshot_reads ? "snapshot" : "latched";
-  r.seconds = wall.ElapsedSeconds();
-  r.scans = scans.load();
-  r.updates = update_threads * updates_per_thread;
-  std::vector<int64_t> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  r.update_p50_us = Percentile(&all, 0.50);
-  r.update_p99_us = Percentile(&all, 0.99);
+  ScanResult r;
+  r.scans = scans;
+  r.scan_secs = scan_secs;
+  r.updates = latencies.size();
   r.update_max_us =
-      all.empty() ? 0 : static_cast<double>(*std::max_element(all.begin(),
-                                                              all.end())) /
-                            1e3;
-  r.write_wait_ms =
-      static_cast<double>(index.latch_stats().write_wait_ns()) / 1e6;
-  r.write_conflicts = index.latch_stats().write_conflicts();
-  r.snapshot_reads = index.latch_stats().snapshot_reads();
-  r.max_epoch_lag = index.latch_stats().snapshot_max_epoch_lag();
+      latencies.empty()
+          ? 0
+          : static_cast<double>(
+                *std::max_element(latencies.begin(), latencies.end())) /
+                1e3;
+  r.update_p50_us = PercentileUs(&latencies, 0.50);
+  r.update_p99_us = PercentileUs(&latencies, 0.99);
+  const LatchStats& ls = index.latch_stats();
+  r.write_wait_ms = static_cast<double>(ls.write_wait_ns()) / 1e6;
+  r.write_conflicts = ls.write_conflicts();
+  r.read_acquires = ls.read_acquires();
+  r.snapshot_reads = ls.snapshot_reads();
+  r.max_epoch_lag = ls.snapshot_max_epoch_lag();
   return r;
 }
 
 void Run() {
-  const size_t rows = EnvSize("AI_BENCH_ROWS", 2000000);
-  // One updater by default: with a single writer, every nanosecond of
-  // side-table write blocked-wait is time spent behind an in-flight *read*
-  // — exactly the interference under ablation. More updaters add
-  // writer-writer serialization to both modes and blur the signal.
-  const size_t update_threads = EnvSize("AI_BENCH_SNAPSHOT_UPDATERS", 1);
-  const size_t updates_per_thread =
-      EnvSize("AI_BENCH_SNAPSHOT_UPDATES", 2000);
-  PrintHeader(
-      "Ablation: MVCC snapshot reads vs latched reads (long-scan/update "
-      "interference)",
-      "rows=" + std::to_string(rows) + " base=scan scanners=1 updaters=" +
-          std::to_string(update_threads) + " updates/thread=" +
-          std::to_string(updates_per_thread));
+  const size_t rows = EnvSize("AI_BENCH_ROWS", 1000000);
+  const size_t reads = EnvSize("AI_BENCH_SNAPSHOT_READS", 20000);
+  const size_t scans = EnvSize("AI_BENCH_SNAPSHOT_SCANS", 200);
+  PrintHeader("Ablation: the snapshot read path (fold cost vs chain length, "
+              "long scan beside an updater)",
+              "rows=" + std::to_string(rows) + " reads/cell=" +
+                  std::to_string(reads) + " ranges=64 sel=0.01% scans=" +
+                  std::to_string(scans) + " updaters=1");
 
   Column column = MakeUniqueRandomColumn(rows);
-  // Interleave the two modes over three repetitions and keep each mode's
-  // best run (by the primary blocked-wait signal), so machine drift biases
-  // neither (same rationale as fig13).
-  ModeResult latched;
-  ModeResult snapshot;
-  latched.write_wait_ms = 1e100;
-  snapshot.write_wait_ms = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    ModeResult l = RunMode(column, false, update_threads, updates_per_thread);
-    if (l.write_wait_ms < latched.write_wait_ms) latched = l;
-    ModeResult s = RunMode(column, true, update_threads, updates_per_thread);
-    if (s.write_wait_ms < snapshot.write_wait_ms) snapshot = s;
+  std::vector<ChainCell> cells;
+  std::printf("\n%12s %9s %12s %12s\n", "chain_len", "pending", "read_p50_us",
+              "read_p99_us");
+  for (size_t len : kChainLengths) {
+    cells.push_back(RunChainCell(column, len, reads));
+    const ChainCell& c = cells.back();
+    std::printf("%12zu %9zu %12.3f %12.3f\n", c.chain_length, c.pending,
+                c.read_p50_us, c.read_p99_us);
   }
 
-  std::printf("\n%-10s %8s %8s %10s %11s %11s %12s %9s %8s\n", "read_mode",
-              "secs", "scans", "updates/s", "upd_p50_us", "upd_p99_us",
-              "upd_max_us", "w_wait_ms", "max_lag");
-  for (const ModeResult* r : {&latched, &snapshot}) {
-    std::printf(
-        "%-10s %8.3f %8llu %10.0f %11.1f %11.1f %12.1f %9.2f %8llu\n",
-        r->name.c_str(), r->seconds,
-        static_cast<unsigned long long>(r->scans),
-        static_cast<double>(r->updates) / r->seconds, r->update_p50_us,
-        r->update_p99_us, r->update_max_us, r->write_wait_ms,
-        static_cast<unsigned long long>(r->max_epoch_lag));
-  }
-
-  const double improvement = snapshot.update_p99_us > 0
-                                 ? latched.update_p99_us /
-                                       snapshot.update_p99_us
-                                 : 0.0;
-  const bool improved = snapshot.update_p99_us <= latched.update_p99_us;
-  // Primary interference signal: total time writers spent *blocked* on the
-  // side-table latch. Unlike wall-clock p99 — which on a single hardware
-  // thread is dominated by scheduler-quantum noise (a writer deschedules
-  // behind a CPU-burning scanner whether or not any latch is involved) —
-  // blocked-wait is attributed at the latch itself, so it isolates exactly
-  // what snapshot reads remove: writers waiting out in-flight reads.
-  const bool wait_reduced = snapshot.write_wait_ms <= latched.write_wait_ms;
+  const ScanResult s = RunScanBesideWriter(column, scans);
   std::printf(
-      "\nside-table writer blocked-wait, latched -> snapshot: %.2f ms -> "
-      "%.2f ms (%s)\n",
-      latched.write_wait_ms, snapshot.write_wait_ms,
-      wait_reduced ? "reduced" : "NOT reduced");
-  std::printf(
-      "p99 update latency, latched/snapshot: %.2fx (wall-clock; meaningful "
-      "on multi-core only — %u hardware threads here)\n",
-      improvement, std::thread::hardware_concurrency());
+      "\nscan beside updater: %zu scans in %.3f s, %llu updates, update "
+      "p50/p99/max %.1f/%.1f/%.1f us, side-table writer blocked-wait "
+      "%.3f ms, read acquires %llu\n",
+      s.scans, s.scan_secs, static_cast<unsigned long long>(s.updates),
+      s.update_p50_us, s.update_p99_us, s.update_max_us, s.write_wait_ms,
+      static_cast<unsigned long long>(s.read_acquires));
 
   const char* json_env = std::getenv("AI_BENCH_SNAPSHOT_JSON");
   const std::string json_path = json_env != nullptr && *json_env != '\0'
@@ -199,37 +211,31 @@ void Run() {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"ablation_snapshot_reads\",\n"
-               "  \"rows\": %zu,\n  \"scan_threads\": 1,\n"
-               "  \"update_threads\": %zu,\n  \"updates_per_thread\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"results\": [\n",
-               rows, update_threads, updates_per_thread,
-               std::thread::hardware_concurrency());
-  bool first = true;
-  for (const ModeResult* r : {&latched, &snapshot}) {
-    std::fprintf(
-        f,
-        "%s    {\"read_mode\": \"%s\", \"total_secs\": %.6f, "
-        "\"scans\": %llu, \"updates_per_sec\": %.1f, "
-        "\"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
-        "\"update_max_us\": %.3f, \"write_wait_ms\": %.4f, "
-        "\"write_conflicts\": %llu, \"snapshot_reads\": %llu, "
-        "\"max_epoch_lag\": %llu}",
-        first ? "" : ",\n", r->name.c_str(), r->seconds,
-        static_cast<unsigned long long>(r->scans),
-        static_cast<double>(r->updates) / r->seconds, r->update_p50_us,
-        r->update_p99_us, r->update_max_us, r->write_wait_ms,
-        static_cast<unsigned long long>(r->write_conflicts),
-        static_cast<unsigned long long>(r->snapshot_reads),
-        static_cast<unsigned long long>(r->max_epoch_lag));
-    first = false;
+               "  \"rows\": %zu,\n  \"hardware_threads\": %u,\n"
+               "  \"reads_per_cell\": %zu,\n  \"ranges\": %zu,\n"
+               "  \"selectivity\": 0.0001,\n  \"chain_cells\": [\n",
+               rows, std::thread::hardware_concurrency(), reads, kRanges);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const ChainCell& c = cells[i];
+    std::fprintf(f,
+                 "    {\"chain_length\": %zu, \"pending\": %zu, "
+                 "\"read_p50_us\": %.3f, \"read_p99_us\": %.3f}%s\n",
+                 c.chain_length, c.pending, c.read_p50_us, c.read_p99_us,
+                 i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(f,
-               "\n  ],\n  \"p99_latched_over_snapshot\": %.4f,\n"
-               "  \"snapshot_p99_le_latched\": %s,\n"
-               "  \"snapshot_wait_le_latched\": %s\n}\n",
-               improvement, improved ? "true" : "false",
-               wait_reduced ? "true" : "false");
+  std::fprintf(
+      f,
+      "  ],\n  \"scan_beside_writer\": {\"scans\": %zu, \"scan_secs\": %.6f, "
+      "\"updates\": %llu, \"update_p50_us\": %.3f, \"update_p99_us\": %.3f, "
+      "\"update_max_us\": %.3f, \"write_wait_ms\": %.4f, "
+      "\"write_conflicts\": %llu, \"read_acquires\": %llu, "
+      "\"snapshot_reads\": %llu, \"max_epoch_lag\": %llu}\n}\n",
+      s.scans, s.scan_secs, static_cast<unsigned long long>(s.updates),
+      s.update_p50_us, s.update_p99_us, s.update_max_us, s.write_wait_ms,
+      static_cast<unsigned long long>(s.write_conflicts),
+      static_cast<unsigned long long>(s.read_acquires),
+      static_cast<unsigned long long>(s.snapshot_reads),
+      static_cast<unsigned long long>(s.max_epoch_lag));
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 }

@@ -3,10 +3,10 @@
 /// Shows the paper's transactional split in action: updates are user
 /// transactions under the lock manager; index refinement is a latch-only
 /// system transaction that politely steps aside while conflicting user
-/// locks exist. The final phase contrasts latched reads with MVCC
-/// snapshot reads (docs/CONCURRENCY.md): a long scan concurrent with an
-/// update stream, printing how much side-table blocking each read mode
-/// inflicts on the writers.
+/// locks exist. The final phase shows the one read path, MVCC snapshot
+/// reads (docs/CONCURRENCY.md): a long scan concurrent with an update
+/// stream inflicts no side-table blocking on the writers, and a pinned
+/// snapshot survives a checkpoint.
 ///
 ///   $ ./build/examples/read_write_mix
 
@@ -21,10 +21,10 @@ using namespace adaptidx;
 
 namespace {
 
-/// Phase 5 worker: one analyst loops full-range sums (with or without
-/// snapshot reads) while one updater streams inserts; returns the
-/// side-table writer blocked-wait the updater accumulated.
-double MeasureInterferenceMs(bool snapshot_reads) {
+/// Phase 5 worker: one analyst loops full-range sums while one updater
+/// streams inserts; prints the side-table writer blocked-wait the updater
+/// accumulated.
+void MeasureInterference() {
   constexpr size_t kRows = 500'000;
   constexpr int kUpdates = 1'500;
   IndexConfig config;
@@ -34,7 +34,6 @@ double MeasureInterferenceMs(bool snapshot_reads) {
   std::atomic<bool> stop{false};
   std::thread analyst([&] {
     QueryContext ctx;
-    ctx.snapshot_reads = snapshot_reads;
     while (!stop.load(std::memory_order_acquire)) {
       int64_t sum = 0;
       (void)orders.RangeSum(ValueRange{0, static_cast<Value>(2 * kRows)},
@@ -48,10 +47,9 @@ double MeasureInterferenceMs(bool snapshot_reads) {
   }
   stop.store(true, std::memory_order_release);
   analyst.join();
-  std::printf("  %-8s reads: updater blocked %7.3f ms on the side-table "
-              "latch (%llu blocked acquisitions, %llu snapshot reads, "
-              "max epoch lag %llu)\n",
-              snapshot_reads ? "snapshot" : "latched",
+  std::printf("  updater blocked %7.3f ms on the side-table latch (%llu "
+              "blocked acquisitions, %llu snapshot reads, max epoch lag "
+              "%llu)\n",
               static_cast<double>(orders.latch_stats().write_wait_ns()) / 1e6,
               static_cast<unsigned long long>(
                   orders.latch_stats().write_conflicts()),
@@ -59,7 +57,6 @@ double MeasureInterferenceMs(bool snapshot_reads) {
                   orders.latch_stats().snapshot_reads()),
               static_cast<unsigned long long>(
                   orders.latch_stats().snapshot_max_epoch_lag()));
-  return static_cast<double>(orders.latch_stats().write_wait_ns()) / 1e6;
 }
 
 }  // namespace
@@ -128,16 +125,28 @@ int main() {
               "(index rebuilt, re-cracks on demand)\n",
               orders.num_rows(), static_cast<unsigned long long>(count));
 
-  // 5. MVCC snapshot reads: a long analytical scan beside an update
-  //    stream. Latched reads hold the side-table latch for the whole scan,
-  //    so every in-flight scan blocks the writers; snapshot reads pin an
-  //    epoch in O(1) and read latch-free, so the writers never wait on a
-  //    reader (docs/CONCURRENCY.md, "MVCC snapshot reads").
+  // 5. MVCC snapshot reads, the one read path: every query pins an epoch
+  //    in O(1) and reads latch-free, so writers never wait on a reader,
+  //    and a checkpoint never waits on a pin (docs/CONCURRENCY.md).
+  Snapshot pin = orders.CaptureSnapshot();
+  uctx.txn_id = 8;
+  (void)orders.Insert(150'502, &uctx);
+  (void)orders.Checkpoint();  // returns at once, though `pin` is held
+  QueryResult pinned;
+  (void)orders.ExecuteSnapshot(Query::Count("", "", 100'000, 200'000), pin,
+                               &ctx4, &pinned);
+  (void)orders.RangeCount(ValueRange{100'000, 200'000}, &ctx4, &count);
+  std::printf("\npinned before insert + checkpoint: count = %llu "
+              "(generation %llu); live: count = %llu (generation %llu)\n",
+              static_cast<unsigned long long>(pinned.count),
+              static_cast<unsigned long long>(pin.base_generation()),
+              static_cast<unsigned long long>(count),
+              static_cast<unsigned long long>(
+                  orders.snapshots().base_generation()));
+  pin.Release();
+
   std::printf("\nlong scan vs update stream (500k-row scans, 1500 "
               "inserts):\n");
-  const double latched_ms = MeasureInterferenceMs(false);
-  const double snapshot_ms = MeasureInterferenceMs(true);
-  std::printf("  -> snapshot reads removed %.3f ms of writer blocking\n",
-              latched_ms - snapshot_ms);
+  MeasureInterference();
   return 0;
 }

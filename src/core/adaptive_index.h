@@ -63,11 +63,10 @@ struct QueryContext {
   uint32_t client_id = 0;
   uint64_t txn_id = 0;
   uint32_t session_id = 0;  ///< issuing session; 0 outside the session API
-  /// MVCC read hint: an `UpdatableIndex` answers this query against a
-  /// per-query epoch snapshot of its differential side stores (no
-  /// side-table latch held during the read) instead of the latched shared
-  /// path. Stamped by sessions opened with `SessionOptions::snapshot_reads`;
-  /// ignored by indexes without a differential layer.
+  /// Unread. An `UpdatableIndex` answers every query against an epoch
+  /// snapshot of its differential side stores; the field stays only
+  /// because the repository benchmark assigns it, and the next benchmark
+  /// change deletes it.
   bool snapshot_reads = false;
   /// Transactional read scope (`Session::BeginSnapshot`): when set, an
   /// `UpdatableIndex` answers this query against the scope's pinned epoch
@@ -84,7 +83,6 @@ struct QueryContext {
     ctx.client_id = client_id;
     ctx.txn_id = txn_id;
     ctx.session_id = session_id;
-    ctx.snapshot_reads = snapshot_reads;
     ctx.snapshot_scope = snapshot_scope;
     return ctx;
   }

@@ -69,10 +69,10 @@ struct IndexConfig {
   ThreadPool* pool = nullptr;
 
   /// Unread. `UpdatableIndex` maintains its MVCC version chain on every
-  /// index, so this former opt-in no longer changes anything; it stays
-  /// only so existing callers that assign it keep compiling, and is not
-  /// part of `IndexConfigKey`. Whether a *read* uses a snapshot is chosen
-  /// per query by `QueryContext::snapshot_reads`.
+  /// index and answers every read against a snapshot, so this former
+  /// opt-in changes nothing and is not part of `IndexConfigKey`. It stays
+  /// only because the repository benchmark assigns it; the next benchmark
+  /// change deletes it.
   bool snapshot_reads = false;
 
   /// Delta-chain consolidation floor (`UpdatableIndex` only): a flat base

@@ -57,16 +57,25 @@ bool SideStoreVersion::AnyAntiMatterIn(const ValueRange& range) const {
 // -------------------------------------------------------- SideStoreDelta
 
 SideStoreDelta::~SideStoreDelta() {
-  // Unlink predecessors this node solely owns, iteratively: letting the
-  // member shared_ptrs cascade would recurse one destructor frame per
-  // node, and a chain is as long as the consolidation threshold allows.
-  // A use_count of 1 means this local handle is the only owner (there are
-  // no weak_ptrs), so nobody can resurrect the node while we dismantle it.
-  std::shared_ptr<const SideStoreDelta> node = std::move(prev);
-  while (node != nullptr && node.use_count() == 1) {
-    std::shared_ptr<const SideStoreDelta> next = std::move(node->prev);
-    node = std::move(next);
+  // Release predecessors iteratively: letting the member shared_ptrs
+  // cascade would recurse one destructor frame per node, and a chain is as
+  // long as the consolidation threshold allows. A node destroyed inside
+  // the loop below hands its predecessor back to the loop instead of
+  // releasing it. Only the final reference drop of a node runs its
+  // destructor, and that drop is ordered after every other thread's use
+  // of the node, so no reference count is ever inspected.
+  thread_local std::shared_ptr<const SideStoreDelta>* handoff = nullptr;
+  if (handoff != nullptr) {
+    *handoff = std::move(prev);
+    return;
   }
+  std::shared_ptr<const SideStoreDelta> next = std::move(prev);
+  handoff = &next;
+  while (next != nullptr) {
+    std::shared_ptr<const SideStoreDelta> dying = std::move(next);
+    dying.reset();  // the last owner's drop refills `next`
+  }
+  handoff = nullptr;
 }
 
 // -------------------------------------------------------------- Snapshot
@@ -104,6 +113,7 @@ SideStoreVersion Snapshot::Materialize() const {
   flat.next_row_id = next_row_id_;
   flat.inserts = version_->inserts;
   flat.anti_matter = version_->anti_matter;
+  flat.generation = version_->generation;
   if (head_ == nullptr) return flat;
   // Collect the era-local suffix oldest-first, then replay it. (value,
   // rowID) pairs are unique — row ids are never reused — so a cancel
@@ -140,12 +150,11 @@ SideStoreVersion Snapshot::Materialize() const {
 
 // ------------------------------------------------------- SnapshotManager
 
-SnapshotManager::SnapshotManager(RowId next_row_id)
-    : current_next_row_id_(next_row_id) {
-  auto pristine = std::make_shared<SideStoreVersion>();
-  pristine->next_row_id = next_row_id;
-  current_ = std::move(pristine);
-}
+SnapshotManager::SnapshotManager(
+    std::shared_ptr<const SideStoreVersion> initial)
+    : current_(std::move(initial)),
+      current_epoch_(current_->epoch),
+      current_next_row_id_(current_->next_row_id) {}
 
 size_t SnapshotManager::PublishDelta(SideStoreDelta::Op op, Value v,
                                      RowId row_id, uint64_t epoch,
@@ -162,56 +171,40 @@ size_t SnapshotManager::PublishDelta(SideStoreDelta::Op op, Value v,
   return chain_length_;
 }
 
-void SnapshotManager::Consolidate(
+void SnapshotManager::Install(
     std::shared_ptr<const SideStoreVersion> version) {
+  // Declared before the lock so that whatever no pin still observes — the
+  // superseded base, the dropped chain, a retired generation's column and
+  // index — is freed after the mutex is released, not inside it.
+  std::shared_ptr<const SideStoreVersion> superseded;
+  std::shared_ptr<const SideStoreDelta> dropped;
   std::lock_guard<std::mutex> lk(mu_);
-  // Equal on a chain-triggered consolidation; greater when recovery
-  // re-seeds the state wholesale (`UpdatableIndex::RestoreState`).
+  // Equal on a chain-triggered consolidation; greater after a checkpoint's
+  // fold commit or when recovery re-seeds the state wholesale
+  // (`UpdatableIndex::RestoreState`).
   assert(version->epoch >= current_epoch_);
-  // The new base covers every chained delta; pinned snapshots keep their
-  // own suffix alive, everything unpinned dies with this head reset (the
-  // delta destructor unlinks iteratively).
+  if (version->generation == current_->generation) {
+    ++consolidations_;
+  } else {
+    ++base_generation_;
+  }
   current_epoch_ = version->epoch;
-  current_ = std::move(version);
-  current_next_row_id_ = current_->next_row_id;
-  head_ = nullptr;
+  current_next_row_id_ = version->next_row_id;
+  superseded = std::exchange(current_, std::move(version));
+  dropped = std::move(head_);
   chain_length_ = 0;
-  ++consolidations_;
 }
 
 Snapshot SnapshotManager::Acquire() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return !rebasing_; });
+  std::lock_guard<std::mutex> lk(mu_);
   ++active_[current_epoch_];
   return Snapshot(this, current_, head_, chain_length_, current_epoch_,
                   current_next_row_id_, base_generation_);
 }
 
-void SnapshotManager::BeginRebase() {
+void SnapshotManager::Drain() {
   std::unique_lock<std::mutex> lk(mu_);
-  // One rebase at a time: a second checkpoint parks here until the first
-  // completes, then establishes its own drain.
-  cv_.wait(lk, [this] { return !rebasing_; });
-  rebasing_ = true;
   cv_.wait(lk, [this] { return active_.empty(); });
-}
-
-void SnapshotManager::CompleteRebase(
-    std::shared_ptr<const SideStoreVersion> version) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    // The delta chain belongs to the pre-checkpoint base generation; no
-    // snapshot can reference it anymore (the drain guaranteed that), so it
-    // is dropped wholesale.
-    head_ = nullptr;
-    chain_length_ = 0;
-    current_epoch_ = version->epoch;
-    current_next_row_id_ = version->next_row_id;
-    current_ = std::move(version);
-    ++base_generation_;
-    rebasing_ = false;
-  }
-  cv_.notify_all();
 }
 
 void SnapshotManager::Release(uint64_t epoch) {
@@ -223,7 +216,7 @@ void SnapshotManager::Release(uint64_t epoch) {
     if (--it->second == 0) active_.erase(it);
     drained = active_.empty();
   }
-  // A draining BeginRebase only cares about the registry emptying.
+  // A draining destructor only cares about the registry emptying.
   if (drained) cv_.notify_all();
 }
 

@@ -13,9 +13,12 @@
 
 namespace adaptidx {
 
+struct BaseGeneration;
+
 /// \brief One immutable, epoch-stamped flat copy of the differential side
-/// stores of an `UpdatableIndex` (pending inserts + anti-matter) — the
-/// consolidated representation behind snapshot reads.
+/// stores of an `UpdatableIndex` (pending inserts + anti-matter), together
+/// with the base generation they apply to — the consolidated
+/// representation behind every read.
 ///
 /// The paper's Section 4.2/4.3 design treats adaptive merging's
 /// differential files as the natural place for multi-version concurrency:
@@ -40,6 +43,9 @@ struct SideStoreVersion {
   /// Anti-matter (deletion markers against base rows), sorted by
   /// (value, rowID).
   std::vector<std::pair<Value, RowId>> anti_matter;
+  /// The base column and wrapped index these differentials apply to. A
+  /// pin on this version keeps them alive across any later checkpoint.
+  std::shared_ptr<const BaseGeneration> generation;
 
   /// \brief Count and sum of pending inserts falling in [range.lo,
   /// range.hi).
@@ -76,8 +82,8 @@ struct SideStoreVersion {
 /// era-local chain suffix over the consolidated base; consolidation bounds
 /// the suffix length.
 ///
-/// Thread-safety: immutable after publication; destruction unlinks the
-/// chain iteratively so releasing the last reference to a long chain never
+/// Thread-safety: immutable after publication; destruction releases the
+/// chain iteratively so dropping the last reference to a long chain never
 /// recurses one stack frame per node.
 struct SideStoreDelta {
   /// What the commit did to the differential side stores.
@@ -98,8 +104,8 @@ struct SideStoreDelta {
         next_row_id(next_row_id_in),
         prev(std::move(prev_in)) {}
 
-  /// \brief Iteratively unlinks solely-owned predecessors so dropping a
-  /// long chain cannot overflow the stack with recursive destructors.
+  /// \brief Releases predecessors iteratively so dropping a long chain
+  /// cannot overflow the stack with recursive destructors.
   ~SideStoreDelta();
 
   Op op;               ///< \brief The committed operation.
@@ -109,7 +115,7 @@ struct SideStoreDelta {
   RowId next_row_id;   ///< \brief Next row id the index assigns after it.
   /// Older delta of the same era; null at the era boundary (the
   /// consolidated base covers everything before). Mutable only so the
-  /// destructor can unlink it iteratively.
+  /// destructor can release it iteratively.
   mutable std::shared_ptr<const SideStoreDelta> prev;
 };
 
@@ -124,17 +130,16 @@ class SnapshotManager;
 /// `delta_head()` chain suffix committed after that base (empty right
 /// after consolidation). Updates committed after capture are invisible, so
 /// re-running a query against the same snapshot always returns the
-/// identical answer (repeatable read). The base
-/// column/index referenced by `base_generation()` is guaranteed stable
-/// while the snapshot is held: `UpdatableIndex::Checkpoint()` drains
-/// (waits for) every outstanding snapshot before swapping the base.
+/// identical answer (repeatable read). The base column and wrapped index
+/// of `base_generation()` stay alive while the snapshot is held, because
+/// `version().generation` shares their ownership: a checkpoint publishes
+/// the next generation without waiting, and the old one dies with its
+/// last pin.
 ///
-/// Because checkpoints — and the index destructor — wait on outstanding
-/// snapshots, a thread must never call `Checkpoint()` on, or destroy, the
-/// index while itself holding one of its snapshots (self-deadlock).
-/// Release (destroy) snapshots promptly; a pin held by another thread
-/// simply blocks the checkpoint/destruction until released, it never
-/// dangles.
+/// Only the index destructor waits on outstanding snapshots, so a thread
+/// must never destroy the index while itself holding one of its
+/// snapshots (self-deadlock). A pin held by another thread simply blocks
+/// the destruction until released; it never dangles.
 ///
 /// Thread-safety: a Snapshot is a move-only value owned by one thread;
 /// concurrent snapshots of the same index are independent and may be
@@ -146,8 +151,8 @@ class Snapshot {
   /// \brief An empty (invalid) snapshot; pins nothing.
   Snapshot() = default;
 
-  /// \brief Releases the pin (unblocking a draining checkpoint and freeing
-  /// any chain suffix only this pin still observed).
+  /// \brief Releases the pin (unblocking a draining index destructor and
+  /// freeing any chain suffix or generation only this pin still observed).
   ~Snapshot() { Release(); }
 
   Snapshot(Snapshot&& other) noexcept { *this = std::move(other); }
@@ -218,38 +223,36 @@ class Snapshot {
   uint64_t base_generation_ = 0;
 };
 
-/// \brief Publishes, pins, drains, and reclaims versions — the
-/// version-chain bookkeeping of the MVCC layer.
+/// \brief Publishes, pins, and reclaims versions — the version-chain
+/// bookkeeping of the MVCC layer.
 ///
 /// Writer protocol: after mutating the side stores under the index's
 /// exclusive latch, the writer publishes the commit as one O(1) delta node
-/// (`PublishDelta`). A periodic `Consolidate` installs a flat base and
-/// resets the chain so readers never fold an unbounded suffix. Reader
-/// protocol: `Acquire` pins the current (base, chain head) pair under a
-/// short internal mutex — the "short pin" — and the returned `Snapshot`
-/// releases it on destruction. Checkpoint
-/// protocol: `BeginRebase` blocks new acquisitions and waits until every
-/// outstanding snapshot is released, the caller swaps the base, then
-/// `CompleteRebase` installs the post-checkpoint version under the next
-/// base generation and re-admits readers.
+/// (`PublishDelta`). A periodic consolidation `Install`s a flat base and
+/// resets the chain so readers never fold an unbounded suffix; a
+/// checkpoint `Install`s the post-fold version of the next base
+/// generation the same way. Reader protocol: `Acquire` pins the current
+/// (base, chain head) pair under a short internal mutex — the "short pin"
+/// — and the returned `Snapshot` releases it on destruction. Nothing ever
+/// waits for a pin except the index destructor (`Drain`).
 ///
 /// Reclamation is epoch-based through the pins themselves: every snapshot
-/// holds shared ownership of its base and chain head, so superseding a
-/// base (consolidation) or dropping the chain frees exactly the suffix no
-/// pin can observe anymore — a delta node dies the moment the last
-/// snapshot that could see it releases. Chain destruction is iterative
-/// (see `SideStoreDelta::~SideStoreDelta`), never one stack frame per node.
+/// holds shared ownership of its base (and through it, its generation)
+/// and chain head, so superseding a base or dropping the chain frees
+/// exactly the state no pin can observe anymore — a delta node dies the
+/// moment the last snapshot that could see it releases. Chain destruction
+/// is iterative (see `SideStoreDelta::~SideStoreDelta`), never one stack
+/// frame per node.
 ///
 /// Thread-safety: fully synchronized internally; all methods may be called
-/// from any thread. `BeginRebase`/`CompleteRebase` must be paired and are
-/// mutually exclusive with each other (the index's exclusive latch
-/// provides that).
+/// from any thread.
 class SnapshotManager {
  public:
-  /// \brief Seeds the manager with the pristine state of a fresh index:
-  /// epoch 0, empty side stores, and `next_row_id` (the base size) as the
-  /// next row id — what a capture taken before the first commit reports.
-  explicit SnapshotManager(RowId next_row_id);
+  /// \brief Seeds the manager with the pristine state of a fresh index —
+  /// epoch 0, empty side stores, the base size as next row id, and the
+  /// first base generation — which a capture taken before the first
+  /// commit reports.
+  explicit SnapshotManager(std::shared_ptr<const SideStoreVersion> initial);
 
   /// \brief Commit publication, O(1): links one delta node for (`op`, `v`,
   /// `row_id`) committed at `epoch` onto the current chain. Returns the
@@ -258,29 +261,25 @@ class SnapshotManager {
                       uint64_t epoch, RowId next_row_id);
 
   /// \brief Installs `version` (the flat materialization of the current
-  /// state, same epoch) as the new consolidated base and resets the delta
-  /// chain. Pinned snapshots keep their suffix alive through their own
-  /// references; unpinned deltas are freed here.
-  void Consolidate(std::shared_ptr<const SideStoreVersion> version);
+  /// state, at or past the current epoch) as the new base and resets the
+  /// delta chain. A version of the current generation is a consolidation;
+  /// one carrying a new generation is a checkpoint and bumps
+  /// `base_generation()`. Pinned snapshots keep their suffix and
+  /// generation alive through their own references; unpinned state is
+  /// freed here, after the internal mutex is released.
+  void Install(std::shared_ptr<const SideStoreVersion> version);
 
-  /// \brief Pins the current version (base + chain head). Blocks while a
-  /// rebase (checkpoint drain) is in progress.
+  /// \brief Pins the current version (base + chain head). Never blocks
+  /// beyond the short internal mutex.
   Snapshot Acquire();
 
-  /// \brief Checkpoint entry: serializes against other rebases, blocks new
-  /// acquisitions, then waits until no snapshot is active. Must be called
-  /// WITHOUT holding the index latch — snapshot holders may need it to
-  /// finish the read their pin protects (see `UpdatableIndex::Checkpoint`
-  /// for the ordering).
-  void BeginRebase();
-
-  /// \brief Checkpoint exit: installs the post-checkpoint `version`, bumps
-  /// the base generation, drops the (now meaningless) delta chain, and
-  /// re-admits readers.
-  void CompleteRebase(std::shared_ptr<const SideStoreVersion> version);
+  /// \brief Blocks until no snapshot is pinned — the index destructor's
+  /// wait, so a pin never outlives the manager. Does not refuse new
+  /// captures: call it only once no thread will capture again.
+  void Drain();
 
   /// \brief Generation of the base column current snapshots read against;
-  /// bumped by every `CompleteRebase`.
+  /// bumped by every `Install` of a new generation (one per checkpoint).
   uint64_t base_generation() const;
 
   /// \brief Epoch of the currently published state (base epoch plus every
@@ -303,13 +302,12 @@ class SnapshotManager {
  private:
   friend class Snapshot;
 
-  /// Unpins one snapshot at `epoch`; wakes a draining rebase when the
+  /// Unpins one snapshot at `epoch`; wakes a draining destructor when the
   /// registry empties.
   void Release(uint64_t epoch);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  ///< drain progress + rebase completion
-  bool rebasing_ = false;
+  std::condition_variable cv_;  ///< registry emptied (`Drain`)
   std::shared_ptr<const SideStoreVersion> current_;
   std::shared_ptr<const SideStoreDelta> head_;  ///< newest delta, null if none
   size_t chain_length_ = 0;

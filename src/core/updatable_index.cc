@@ -8,90 +8,59 @@ namespace adaptidx {
 
 namespace {
 
-/// Acquires `mu` (shared or exclusive per the lock type) and accounts the
-/// acquisition on `stats`: uncontended fast path via try-lock, otherwise the
-/// blocked wait is timed. This makes reader/writer interference on the side
-/// tables observable — the quantity the snapshot-read ablation measures.
-template <typename Lock, typename Mutex>
-Lock AccountedLock(Mutex& mu, void (LatchStats::*record)(int64_t, bool),
-                   LatchStats* stats) {
-  Lock lk(mu, std::try_to_lock);
+/// Acquires `mu` exclusively and accounts the acquisition on `stats`:
+/// uncontended fast path via try-lock, otherwise the blocked wait is
+/// timed. Reads never take `mu`, so this is writer-against-writer (and
+/// against introspection) interference only — what the snapshot-read
+/// ablation reports beside a long scan.
+std::unique_lock<std::shared_mutex> AccountedWriteLock(std::shared_mutex& mu,
+                                                       LatchStats* stats) {
+  std::unique_lock<std::shared_mutex> lk(mu, std::try_to_lock);
   if (lk.owns_lock()) {
-    (stats->*record)(0, false);
+    stats->RecordWrite(0, false);
     return lk;
   }
   const int64_t t0 = NowNanos();
   lk.lock();
-  (stats->*record)(NowNanos() - t0, true);
+  stats->RecordWrite(NowNanos() - t0, true);
   return lk;
 }
 
-// The two differential views the shared combine logic below runs against.
-// Latched reads walk the live ordered containers (under the shared
-// side-table latch); snapshot reads fold a pinned snapshot (no latch).
-// Keeping ONE combine implementation over both is what guarantees the two
-// paths can never diverge semantically.
+/// `config` with the refinement conflict probe wired to the update path's
+/// lock manager (cracking only; other methods have no probe).
+IndexConfig WithLockProbe(IndexConfig config, LockManager* lock_manager,
+                          const std::string& lock_resource) {
+  if (config.method == IndexMethod::kCrack && lock_manager != nullptr) {
+    config.cracking.lock_manager = lock_manager;
+    config.cracking.lock_resource = lock_resource;
+  }
+  return config;
+}
 
-/// Live side stores (mu_ held, shared suffices).
-struct MapDiffView {
-  const std::multimap<Value, RowId>& inserts;
-  const std::set<std::pair<Value, RowId>>& anti_matter;
-
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
-    *count = 0;
-    *sum = 0;
-    for (auto it = inserts.lower_bound(range.lo);
-         it != inserts.end() && it->first < range.hi; ++it) {
-      ++*count;
-      *sum += it->first;
-    }
-  }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
-    *count = 0;
-    *sum = 0;
-    for (auto it = anti_matter.lower_bound({range.lo, 0});
-         it != anti_matter.end() && it->first < range.hi; ++it) {
-      ++*count;
-      *sum += it->first;
-    }
-  }
-  bool AnyAntiMatter() const { return !anti_matter.empty(); }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    auto it = anti_matter.lower_bound({range.lo, 0});
-    return it != anti_matter.end() && it->first < range.hi;
-  }
-  bool HidesRow(Value v, RowId id) const {
-    return anti_matter.count({v, id}) > 0;
-  }
-  template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
-    for (auto it = inserts.lower_bound(range.lo);
-         it != inserts.end() && it->first < range.hi; ++it) {
-      fn(it->first, it->second);
-    }
-  }
-};
-
-/// Pinned snapshot: the consolidated base plus the era-local suffix of
-/// O(1) commit deltas, folded once per query into three sorted vectors
-/// (all empty when the snapshot is exactly a consolidated state). The
-/// arithmetic leans on (value, rowID) uniqueness — row ids are never
-/// reused, so a chained kCancelInsert names exactly one insert that the
-/// base or the chain currently counts, and anti-matter is purely additive
-/// until a checkpoint resets both stores. Fold cost is O(chain log chain),
-/// bounded by the consolidation threshold.
+/// A pinned snapshot's differentials restricted to one query range: the
+/// consolidated base plus those deltas of the era-local suffix whose value
+/// lies in the range, gathered in one pass over the chain into three
+/// sorted vectors (all empty when the snapshot is exactly a consolidated
+/// state). Every value a query looks up — a base row it returns, an insert
+/// it walks — lies in the range, so the deltas outside it are never
+/// needed. The arithmetic leans on (value, rowID) uniqueness — row ids are
+/// never reused, so a chained kCancelInsert names exactly one insert that
+/// the base or the chain currently counts, and anti-matter is purely
+/// additive until a checkpoint resets both stores. Fold cost is one chain
+/// walk plus O(k log k) for the k in-range deltas; the consolidation
+/// threshold bounds the walk.
 struct DeltaChainView {
   const SideStoreVersion& base;
+  const ValueRange range;
   std::vector<std::pair<Value, RowId>> chain_inserts;
   std::vector<std::pair<Value, RowId>> chain_anti;
   std::vector<std::pair<Value, RowId>> cancels;
 
-  explicit DeltaChainView(const Snapshot& snapshot)
-      : base(snapshot.version()) {
+  DeltaChainView(const Snapshot& snapshot, const ValueRange& query_range)
+      : base(snapshot.version()), range(query_range) {
     for (const SideStoreDelta* d = snapshot.delta_head(); d != nullptr;
          d = d->prev.get()) {
+      if (!range.Contains(d->value)) continue;
       const std::pair<Value, RowId> entry{d->value, d->row_id};
       switch (d->op) {
         case SideStoreDelta::Op::kInsert:
@@ -110,45 +79,38 @@ struct DeltaChainView {
     std::sort(cancels.begin(), cancels.end());
   }
 
-  static void RangeCountSum(const std::vector<std::pair<Value, RowId>>& v,
-                            const ValueRange& range, uint64_t* count,
-                            int64_t* sum) {
-    auto it = std::lower_bound(v.begin(), v.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    for (; it != v.end() && it->first < range.hi; ++it) {
+  /// Adds every entry of an in-range vector.
+  static void AddAll(const std::vector<std::pair<Value, RowId>>& v,
+                     uint64_t* count, int64_t* sum) {
+    for (const auto& entry : v) {
       ++*count;
-      *sum += it->first;
+      *sum += entry.first;
     }
   }
 
-  void InsertCountSum(const ValueRange& range, uint64_t* count,
-                      int64_t* sum) const {
+  void InsertCountSum(uint64_t* count, int64_t* sum) const {
     // Each cancelled (value, rowID) is currently counted exactly once —
     // in the base if it was pending at consolidation, in the chain if it
     // was inserted after — so subtracting the in-range cancels nets the
     // live pending-insert population.
     base.InsertCountSum(range, count, sum);
-    RangeCountSum(chain_inserts, range, count, sum);
+    AddAll(chain_inserts, count, sum);
     uint64_t cancel_count = 0;
     int64_t cancel_sum = 0;
-    RangeCountSum(cancels, range, &cancel_count, &cancel_sum);
+    AddAll(cancels, &cancel_count, &cancel_sum);
     *count -= cancel_count;
     *sum -= cancel_sum;
   }
-  void AntiMatterCountSum(const ValueRange& range, uint64_t* count,
-                          int64_t* sum) const {
+  void AntiMatterCountSum(uint64_t* count, int64_t* sum) const {
     base.AntiMatterCountSum(range, count, sum);
-    RangeCountSum(chain_anti, range, count, sum);
+    AddAll(chain_anti, count, sum);
   }
+  /// Whether any anti-matter falls in the range — the predicate that
+  /// decides whether base answers need filtering.
   bool AnyAntiMatter() const {
-    return !base.anti_matter.empty() || !chain_anti.empty();
+    return !chain_anti.empty() || base.AnyAntiMatterIn(range);
   }
-  bool AnyAntiMatterIn(const ValueRange& range) const {
-    if (base.AnyAntiMatterIn(range)) return true;
-    auto it = std::lower_bound(chain_anti.begin(), chain_anti.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    return it != chain_anti.end() && it->first < range.hi;
-  }
+  /// Whether base row (`value`, `id`), `value` in range, is deleted.
   bool HidesRow(Value value, RowId id) const {
     return base.HidesRow(value, id) ||
            std::binary_search(chain_anti.begin(), chain_anti.end(),
@@ -158,31 +120,31 @@ struct DeltaChainView {
     return std::binary_search(cancels.begin(), cancels.end(),
                               std::make_pair(value, id));
   }
+  /// Calls `fn(value, rowID)` for every live pending insert in the range.
   template <typename Fn>
-  void ForEachInsertIn(const ValueRange& range, Fn fn) const {
+  void ForEachInsert(Fn fn) const {
     for (size_t i = base.FirstInsertAtOrAbove(range.lo);
          i < base.inserts.size() && base.inserts[i].first < range.hi; ++i) {
       if (Cancelled(base.inserts[i].first, base.inserts[i].second)) continue;
       fn(base.inserts[i].first, base.inserts[i].second);
     }
-    auto it = std::lower_bound(chain_inserts.begin(), chain_inserts.end(),
-                               std::make_pair(range.lo, RowId{0}));
-    for (; it != chain_inserts.end() && it->first < range.hi; ++it) {
-      if (Cancelled(it->first, it->second)) continue;
-      fn(it->first, it->second);
+    for (const auto& [value, id] : chain_inserts) {
+      if (!Cancelled(value, id)) fn(value, id);
     }
   }
 };
 
-/// THE query evaluation of the differential layer — shared verbatim by the
-/// latched and snapshot paths: combines the base index/column answer with
-/// one differential view. The caller guarantees `diff`, `base`, and
-/// `index` stay valid for the duration (shared latch or snapshot pin).
-template <typename DiffView>
-Status CombineWithDifferentials(const Query& query, const DiffView& diff,
-                                const Column& base, AdaptiveIndex* index,
+/// THE query evaluation of the differential layer: combines the answer of
+/// the snapshot generation's base index/column with the snapshot's
+/// differentials in the query range. The caller holds the pin, which keeps
+/// the generation alive for the duration.
+Status CombineWithDifferentials(const Query& query, const Snapshot& snapshot,
                                 QueryContext* ctx, QueryResult* result) {
+  const BaseGeneration& gen = *snapshot.version().generation;
+  const Column& base = gen.base;
+  AdaptiveIndex* index = gen.index.get();
   const ValueRange& range = query.range;
+  const DeltaChainView diff(snapshot, range);
   switch (query.kind) {
     case QueryKind::kCount:
     case QueryKind::kSum: {
@@ -193,8 +155,8 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
       int64_t ins_s;
       uint64_t del_c;
       int64_t del_s;
-      diff.InsertCountSum(range, &ins_c, &ins_s);
-      diff.AntiMatterCountSum(range, &del_c, &del_s);
+      diff.InsertCountSum(&ins_c, &ins_s);
+      diff.AntiMatterCountSum(&del_c, &del_s);
       if (query.kind == QueryKind::kCount) {
         result->count = base_result.count + ins_c - del_c;
       } else {
@@ -215,14 +177,14 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
                                              result->row_ids.end(), hidden),
                               result->row_ids.end());
       }
-      diff.ForEachInsertIn(range, [&](Value, RowId id) {
+      diff.ForEachInsert([&](Value, RowId id) {
         result->row_ids.push_back(id);
       });
       return Status::OK();
     }
     case QueryKind::kMinMax: {
       MinMaxAccumulator acc;
-      if (!diff.AnyAntiMatterIn(range)) {
+      if (!diff.AnyAntiMatter()) {
         // The base answer cannot name a deleted extreme; combine it with
         // the pending insertions directly.
         QueryResult base_result;
@@ -242,7 +204,7 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
           acc.Feed(v);
         }
       }
-      diff.ForEachInsertIn(range, [&](Value v, RowId) { acc.Feed(v); });
+      diff.ForEachInsert([&](Value v, RowId) { acc.Feed(v); });
       acc.Store(result);
       return Status::OK();
     }
@@ -254,37 +216,40 @@ Status CombineWithDifferentials(const Query& query, const DiffView& diff,
 
 }  // namespace
 
+BaseGeneration::BaseGeneration(Column base_in, const IndexConfig& config)
+    : base(std::move(base_in)), index(MakeIndex(&base, config)) {}
+
 UpdatableIndex::UpdatableIndex(Column base, IndexConfig config,
                                LockManager* lock_manager,
                                std::string lock_resource)
-    : config_(std::move(config)),
+    : config_(WithLockProbe(std::move(config), lock_manager, lock_resource)),
       lock_manager_(lock_manager),
       lock_resource_(std::move(lock_resource)),
-      base_(std::make_unique<Column>(std::move(base))),
-      next_row_id_(static_cast<RowId>(base_->size())),
-      snapshots_(next_row_id_) {
-  RebuildIndexLocked();
-}
+      gen_(std::make_shared<BaseGeneration>(std::move(base), config_)),
+      next_row_id_(static_cast<RowId>(gen_->base.size())),
+      snapshots_(MaterializeVersionLocked()) {}
 
 UpdatableIndex::~UpdatableIndex() {
-  // Drain: block new captures and wait for every outstanding pin, exactly
-  // as a checkpoint would. Once the registry is empty every Snapshot
-  // handle has run Release() (which nulls its manager pointer), so no
-  // destructor of a surviving handle can reach back into freed memory.
-  // The rebase deliberately never completes — the manager dies rebasing.
-  snapshots_.BeginRebase();
-}
-
-void UpdatableIndex::RebuildIndexLocked() {
-  if (config_.method == IndexMethod::kCrack && lock_manager_ != nullptr) {
-    config_.cracking.lock_manager = lock_manager_;
-    config_.cracking.lock_resource = lock_resource_;
-  }
-  index_ = MakeIndex(base_.get(), config_);
+  // Wait for every outstanding pin. Once the registry is empty every
+  // Snapshot handle has run Release() (which nulls its manager pointer),
+  // so no destructor of a surviving handle can reach back into freed
+  // memory.
+  snapshots_.Drain();
 }
 
 std::string UpdatableIndex::Name() const {
-  return "updatable(" + index_->Name() + ")";
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  return "updatable(" + gen_->index->Name() + ")";
+}
+
+AdaptiveIndex* UpdatableIndex::base_index() {
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  return gen_->index.get();
+}
+
+size_t UpdatableIndex::NumPieces() const {
+  std::shared_lock<std::shared_mutex> lk(mu_);
+  return gen_->index->NumPieces();
 }
 
 std::shared_ptr<SideStoreVersion> UpdatableIndex::MaterializeVersionLocked()
@@ -298,6 +263,7 @@ std::shared_ptr<SideStoreVersion> UpdatableIndex::MaterializeVersionLocked()
   // set is ordered by the pair directly.
   v->inserts.assign(inserts_.begin(), inserts_.end());
   v->anti_matter.assign(anti_matter_.begin(), anti_matter_.end());
+  v->generation = gen_;
   return v;
 }
 
@@ -322,7 +288,7 @@ void UpdatableIndex::CommitEpochLocked(SideStoreDelta::Op op, Value v,
       snapshots_.PublishDelta(op, v, row_id, epoch, next_row_id_);
   latch_stats_.RecordDeltaPublish(chain);
   if (chain >= ConsolidateThresholdLocked()) {
-    snapshots_.Consolidate(MaterializeVersionLocked());
+    snapshots_.Install(MaterializeVersionLocked());
     latch_stats_.RecordConsolidation(chain);
   }
 }
@@ -345,12 +311,10 @@ Status UpdatableIndex::ExecuteSnapshot(const Query& query,
     return Status::InvalidArgument("snapshot belongs to another index");
   }
   if (query.range.Empty()) return Status::OK();
-  // No side-table latch for the duration of the read: the base column and
-  // wrapped index are stable while the snapshot is pinned, because
-  // Checkpoint() drains every outstanding snapshot before swapping them
-  // (synchronized through the SnapshotManager mutex).
-  Status s = CombineWithDifferentials(query, DeltaChainView(snapshot),
-                                      *base_, index_.get(), ctx, result);
+  // No side-table latch for the duration of the read: the pin reaches the
+  // base column and wrapped index only through its own generation, which
+  // it keeps alive across any concurrent checkpoint.
+  Status s = CombineWithDifferentials(query, snapshot, ctx, result);
   if (s.ok() && query.kind == QueryKind::kRowIds) {
     result->count = result->row_ids.size();
   }
@@ -364,8 +328,8 @@ Status UpdatableIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
     // Transactional scope: every query of the scope reads at the ONE epoch
     // its first query pinned for this index (repeatable reads across a
     // multi-query transaction). A scope closed mid-flight (EndSnapshot
-    // racing an async submission) refuses adoption; fall through to the
-    // per-query paths below.
+    // racing an async submission) refuses adoption; fall through to a
+    // per-query capture.
     SnapshotScope* scope = ctx->snapshot_scope.get();
     const Snapshot* pinned = scope->Find(this);
     if (pinned == nullptr) pinned = scope->Adopt(this, CaptureSnapshot());
@@ -373,18 +337,10 @@ Status UpdatableIndex::ExecuteImpl(const Query& query, QueryContext* ctx,
       return ExecuteSnapshot(query, *pinned, ctx, result);
     }
   }
-  if (ctx != nullptr && ctx->snapshot_reads) {
-    // Per-query snapshot capture: each execution (each ticket of an async
-    // batch) pins its own epoch, so every answer is individually
-    // consistent and the side-table latch is never held across the read.
-    Snapshot snapshot = CaptureSnapshot();
-    return ExecuteSnapshot(query, snapshot, ctx, result);
-  }
-  auto lk = AccountedLock<std::shared_lock<std::shared_mutex>>(
-      mu_, &LatchStats::RecordRead, &latch_stats_);
-  return CombineWithDifferentials(query,
-                                  MapDiffView{inserts_, anti_matter_},
-                                  *base_, index_.get(), ctx, result);
+  // Per-query capture: each execution (each ticket of an async batch) pins
+  // its own epoch, so every answer is individually consistent.
+  Snapshot snapshot = CaptureSnapshot();
+  return ExecuteSnapshot(query, snapshot, ctx, result);
 }
 
 Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {
@@ -400,8 +356,7 @@ Status UpdatableIndex::Insert(Value v, QueryContext* ctx, RowId* row_id) {
   CommitSink* sink = nullptr;
   uint64_t lsn = 0;
   {
-    auto lk = AccountedLock<std::unique_lock<std::shared_mutex>>(
-        mu_, &LatchStats::RecordWrite, &latch_stats_);
+    auto lk = AccountedWriteLock(mu_, &latch_stats_);
     assigned = next_row_id_++;
     inserts_.emplace(v, assigned);
     // Write-ahead: the record is sequenced at the commit point, before the
@@ -434,8 +389,7 @@ Status UpdatableIndex::Delete(Value v, RowId row_id, QueryContext* ctx) {
   CommitSink* sink = nullptr;
   uint64_t lsn = 0;
   {
-    auto lk = AccountedLock<std::unique_lock<std::shared_mutex>>(
-        mu_, &LatchStats::RecordWrite, &latch_stats_);
+    auto lk = AccountedWriteLock(mu_, &latch_stats_);
     // A pending insertion is cancelled directly.
     bool cancelled = false;
     for (auto it = inserts_.lower_bound(v);
@@ -447,7 +401,8 @@ Status UpdatableIndex::Delete(Value v, RowId row_id, QueryContext* ctx) {
       }
     }
     if (!cancelled) {
-      const bool in_base = row_id < base_->size() && (*base_)[row_id] == v;
+      const Column& base = gen_->base;
+      const bool in_base = row_id < base.size() && base[row_id] == v;
       if (!in_base || anti_matter_.count({v, row_id}) > 0) {
         result = Status::NotFound("no live tuple (" + std::to_string(v) +
                                   ", " + std::to_string(row_id) + ")");
@@ -474,31 +429,27 @@ Status UpdatableIndex::Delete(Value v, RowId row_id, QueryContext* ctx) {
 }
 
 Status UpdatableIndex::Checkpoint() {
-  // Drain FIRST, before taking mu_: block new snapshot captures and wait
-  // until every outstanding snapshot is released — held snapshots
-  // reference the current base column/index, which is about to be
-  // replaced. The ordering matters: a snapshot holder may need mu_ to
-  // finish the operation its pin brackets (e.g. another thread holding a
-  // pin across an Insert), so waiting for pins while holding mu_
-  // exclusively would deadlock the whole index. With the drain complete
-  // and rebasing latched in the manager, no new pin can appear before the
-  // exclusive acquisition below (captures check the rebase flag without
-  // holding mu_).
-  snapshots_.BeginRebase();
+  // No drain: pinned readers keep the old generation alive through their
+  // versions, so the fold builds the next one under the writer latch and
+  // publishes it without waiting for any pin. Unless a pin still holds
+  // it, the old generation dies with `retired`, after the latch drops.
+  std::shared_ptr<const BaseGeneration> retired;
   std::unique_lock<std::shared_mutex> lk(mu_);
+  retired = gen_;
+  const Column& old_base = retired->base;
   std::vector<Value> values;
-  values.reserve(base_->size() + inserts_.size() - anti_matter_.size());
-  for (size_t i = 0; i < base_->size(); ++i) {
-    const Value v = (*base_)[i];
+  values.reserve(old_base.size() + inserts_.size() - anti_matter_.size());
+  for (size_t i = 0; i < old_base.size(); ++i) {
+    const Value v = old_base[i];
     if (anti_matter_.count({v, static_cast<RowId>(i)}) > 0) continue;
     values.push_back(v);
   }
   for (const auto& [v, id] : inserts_) values.push_back(v);
-  base_ = std::make_unique<Column>(base_->name(), std::move(values));
+  gen_ = std::make_shared<BaseGeneration>(
+      Column(old_base.name(), std::move(values)), config_);
   inserts_.clear();
   anti_matter_.clear();
-  next_row_id_ = static_cast<RowId>(base_->size());
-  RebuildIndexLocked();
+  next_row_id_ = static_cast<RowId>(gen_->base.size());
   // The fold is one logged, committed system transaction: folding is a
   // pure function of the pre-fold state, so a single kFold record replays
   // it deterministically (recovery calls Checkpoint() with no sink bound).
@@ -507,11 +458,10 @@ Status UpdatableIndex::Checkpoint() {
   if (sink != nullptr) {
     lsn = sink->LogCommit(CommitSink::OpType::kFold, 0, 0);
   }
-  // The fold advances the epoch and installs the post-checkpoint
-  // (empty-differential) version under the next base generation,
-  // re-admitting snapshot captures.
+  // The fold advances the epoch and publishes the post-checkpoint
+  // (empty-differential) version of the next base generation.
   commit_epoch_.fetch_add(1, std::memory_order_release);
-  snapshots_.CompleteRebase(MaterializeVersionLocked());
+  snapshots_.Install(MaterializeVersionLocked());
   lk.unlock();
   if (sink != nullptr) return sink->WaitDurable(lsn);
   return Status::OK();
@@ -537,12 +487,12 @@ void UpdatableIndex::RestoreState(
   // capture after recovery sees the restored differentials (monotonic
   // epochs hold: the constructor-time state sits at epoch 0, at or below
   // any restored epoch).
-  snapshots_.Consolidate(MaterializeVersionLocked());
+  snapshots_.Install(MaterializeVersionLocked());
 }
 
 size_t UpdatableIndex::num_rows() const {
   std::shared_lock<std::shared_mutex> lk(mu_);
-  return base_->size() + inserts_.size() - anti_matter_.size();
+  return gen_->base.size() + inserts_.size() - anti_matter_.size();
 }
 
 size_t UpdatableIndex::pending_inserts() const {

@@ -16,6 +16,31 @@
 
 namespace adaptidx {
 
+/// \brief One generation of the read-only half of an `UpdatableIndex`:
+/// the immutable base column and the adaptive index built over it.
+///
+/// A checkpoint folds the differentials into the next generation and
+/// publishes it with the post-fold version, "as in dropping and
+/// re-creating an optional index" (Section 4.2). A reader pinned to the
+/// old generation needs nothing from the new one, so the old generation
+/// simply lives on (shared ownership through `SideStoreVersion`) until its
+/// last pin is released; no reader or checkpoint ever waits for the other.
+///
+/// Thread-safety: `base` is immutable; `index` answers concurrent queries
+/// under its own latching.
+struct BaseGeneration {
+  /// \brief Takes the column and builds `config`'s adaptive index over it.
+  BaseGeneration(Column base_in, const IndexConfig& config);
+  BaseGeneration(const BaseGeneration&) = delete;
+  BaseGeneration& operator=(const BaseGeneration&) = delete;
+
+  /// \brief The base column; row ids of base rows are its positions.
+  Column base;
+  /// \brief The wrapped adaptive index, built over (and pointing into)
+  /// `base`.
+  std::unique_ptr<AdaptiveIndex> index;
+};
+
 /// \brief Read-write layer over an adaptive index, built on differential
 /// files (Section 4.2): "adaptive merging relies on a form of differential
 /// files for high update rates ... updates and deletions may be applied
@@ -28,14 +53,15 @@ namespace adaptidx {
 ///  - Insertions accumulate in a value-ordered side store; deletions become
 ///    anti-matter markers (deleting a still-pending insertion cancels it
 ///    directly).
-///  - Queries combine the base index's answer with the differentials under
-///    a short shared latch — or, with snapshot reads (below), against a
-///    pinned immutable version with no side-table latch held at all.
+///  - Every query is a snapshot read: it combines the base index's answer
+///    with the differentials of a pinned immutable version (below), with
+///    no side-table latch held at all.
 ///  - `Checkpoint()` is a maintenance system transaction that folds the
-///    differentials into a fresh base column, rebuilds the adaptive index
-///    from scratch (re-entering state 4 of Figure 5), and re-assigns row
-///    ids — the rebuild "can exploit knowledge gained during earlier query
-///    execution" only in the sense that queries will re-crack it adaptively.
+///    differentials into a fresh base column, builds the adaptive index
+///    over it from scratch (re-entering state 4 of Figure 5) as the next
+///    `BaseGeneration`, and re-assigns row ids — the rebuild "can exploit
+///    knowledge gained during earlier query execution" only in the sense
+///    that queries will re-crack it adaptively.
 ///
 /// Transactional interplay (Section 3.3): when a LockManager is configured,
 /// every update runs as a *user transaction* taking an exclusive key lock
@@ -49,27 +75,25 @@ namespace adaptidx {
 /// chain as one O(1) `SideStoreDelta` node (op, value, rowID, epoch)
 /// linked onto the current version, periodically consolidated into a flat
 /// `SideStoreVersion` so readers never fold an unbounded suffix. The chain
-/// is maintained on every index, whatever its config. A query whose
-/// context sets `QueryContext::snapshot_reads` captures a `Snapshot` (one
-/// short pin, O(1)) and answers count/sum/rowIDs/minmax against exactly
-/// that epoch *without holding the side-table latch during the read* — a
-/// long analytical scan no longer blocks the update stream. A query
-/// carrying a `QueryContext::snapshot_scope` instead reuses the scope's
-/// pinned epoch across every query of the scope (transactional repeatable
-/// reads).
-/// Version and delta reclamation is epoch-based — state is dropped once no
-/// pin can observe it — and `Checkpoint()` drains outstanding snapshots
-/// before swapping the base (so a thread must not checkpoint while holding
-/// its own snapshot).
+/// is maintained on every index, whatever its config. Every query
+/// captures a `Snapshot` (one short pin, O(1)) and answers
+/// count/sum/rowIDs/minmax against exactly that epoch and its base
+/// generation *without holding the side-table latch during the read* — a
+/// long analytical scan never blocks the update stream. A query carrying a
+/// `QueryContext::snapshot_scope` instead reuses the scope's pinned epoch
+/// across every query of the scope (transactional repeatable reads).
+/// Version, delta and generation reclamation is epoch-based — state is
+/// dropped once no pin can observe it — so a checkpoint never waits for a
+/// reader, and a thread may checkpoint while holding its own snapshot.
 ///
 /// Thread-safety: all methods may be called concurrently from any number
-/// of threads; updates serialize on an internal writer latch, reads are
-/// shared (latched path) or latch-free (snapshot path).
+/// of threads; updates and checkpoints serialize on an internal writer
+/// latch, reads are latch-free.
 ///
 /// Observability: `latch_stats()` of this wrapper reports the *side-table*
-/// latch (read/write acquisitions with blocked wait time — the
-/// reader/writer interference snapshot reads remove) plus the
-/// snapshot-read/epoch-lag counters; the wrapped index accounts its own
+/// writer latch (write acquisitions with blocked wait time; reads never
+/// take it, so `read_acquires()` stays 0) plus the snapshot-read/epoch-lag
+/// and delta-chain counters; the wrapped index accounts its own
 /// piece/column latch traffic separately under
 /// `base_index()->latch_stats()`.
 class UpdatableIndex : public AdaptiveIndex {
@@ -85,8 +109,7 @@ class UpdatableIndex : public AdaptiveIndex {
   /// \brief Drains outstanding snapshots — blocks until every `Snapshot`
   /// of this index is released — so a live pin can never dangle into a
   /// destroyed index (a released pin's destructor touches nothing of the
-  /// index). Like `Checkpoint()`, never destroy the index on a thread
-  /// holding its own snapshot.
+  /// index). Never destroy the index on a thread holding its own snapshot.
   ~UpdatableIndex() override;
 
   /// \brief "updatable(<wrapped method>)". Thread-safe.
@@ -104,21 +127,20 @@ class UpdatableIndex : public AdaptiveIndex {
 
   /// \brief Folds differentials into a fresh base column and rebuilds the
   /// adaptive index; row ids are re-assigned (a rebuild, as in dropping and
-  /// re-creating an optional index, Section 4.2). Bumps the snapshot base
-  /// generation and *drains* — blocks until every outstanding `Snapshot` of
-  /// this index is released — before taking the side-table latch and
-  /// swapping the base, so held snapshots stay valid and pin-holding
-  /// threads remain free to use the index (updates, latched reads) while
-  /// the drain waits. The one forbidden shape is a thread waiting on its
-  /// own pin: never call `Checkpoint()` while holding a snapshot of this
-  /// index on the same thread (self-deadlock).
+  /// re-creating an optional index, Section 4.2). Builds the next
+  /// `BaseGeneration` under the writer latch and publishes it, bumping the
+  /// snapshot base generation, without waiting for anyone: a held
+  /// snapshot keeps answering against its own generation, and a fresh
+  /// capture sees the folded state. Thread-safe, also on a thread holding
+  /// a snapshot of this index.
   Status Checkpoint();
 
   // ---- snapshot reads ---------------------------------------------------
 
-  /// \brief Pins a consistent view at the current commit epoch: one short
-  /// O(1) pin on the version chain, no side-table latch. Blocks while a
-  /// checkpoint drains. Thread-safe; release the snapshot promptly.
+  /// \brief Pins a consistent view at the current commit epoch and base
+  /// generation: one short O(1) pin on the version chain, no side-table
+  /// latch, never blocked by a checkpoint. Thread-safe; a held snapshot
+  /// keeps its chain suffix and generation alive, so release it promptly.
   Snapshot CaptureSnapshot() const;
 
   /// \brief Answers `query` against `snapshot` — repeatable: the same
@@ -171,33 +193,26 @@ class UpdatableIndex : public AdaptiveIndex {
   /// \brief Pending anti-matter markers. Thread-safe.
   size_t pending_deletes() const;
 
-  /// \brief The wrapped adaptive index (for inspection in tests/benchmarks).
-  /// Not stable across `Checkpoint()`.
-  AdaptiveIndex* base_index() { return index_.get(); }
+  /// \brief The current generation's wrapped adaptive index, for
+  /// single-threaded inspection (recovery, tests). The pointer dies with
+  /// its generation, which a concurrent `Checkpoint()` may free; a
+  /// concurrent caller reads `CaptureSnapshot().version().generation`
+  /// instead, which the pin keeps alive.
+  AdaptiveIndex* base_index();
 
-  /// \brief The immutable base column. Not stable across `Checkpoint()`;
-  /// safe to read while a `Snapshot` of this index is pinned (the pin
-  /// blocks the base swap).
-  const Column* base_column() const { return base_.get(); }
-
-  /// \brief Pieces of the wrapped index. Thread-safe.
-  size_t NumPieces() const override { return index_->NumPieces(); }
+  /// \brief Pieces of the current generation's wrapped index. Thread-safe.
+  size_t NumPieces() const override;
 
  protected:
-  /// \brief Dispatches to the snapshot path when the context carries a
-  /// `snapshot_scope` (reusing the scope's pinned epoch) or sets
-  /// `snapshot_reads` (capturing a fresh per-query snapshot), to the
-  /// latched shared-side-table path otherwise.
+  /// \brief Answers against the scope's pinned snapshot when the context
+  /// carries a `snapshot_scope`, against a freshly captured one otherwise.
   Status ExecuteImpl(const Query& query, QueryContext* ctx,
                      QueryResult* result) override;
 
  private:
-  /// Re-wires config/lock settings and builds the wrapped index. Requires
-  /// mu_ held exclusively (or construction).
-  void RebuildIndexLocked();
-
   /// Materializes the current differential state as an immutable version
-  /// stamped with the current commit epoch. mu_ held (shared suffices).
+  /// of the current generation, stamped with the current commit epoch.
+  /// mu_ held (shared suffices).
   std::shared_ptr<SideStoreVersion> MaterializeVersionLocked() const;
 
   /// Commits one epoch and publishes it as one O(1) delta node describing
@@ -215,8 +230,9 @@ class UpdatableIndex : public AdaptiveIndex {
   std::string lock_resource_;
 
   mutable std::shared_mutex mu_;
-  std::unique_ptr<Column> base_;
-  std::unique_ptr<AdaptiveIndex> index_;
+  /// Current generation: replaced by `Checkpoint()` under mu_ exclusive,
+  /// published with every installed version.
+  std::shared_ptr<const BaseGeneration> gen_;
   /// Pending insertions, value-ordered: value -> row id.
   std::multimap<Value, RowId> inserts_;
   /// Anti-matter markers against base rows, ordered by (value, row id).
@@ -230,8 +246,8 @@ class UpdatableIndex : public AdaptiveIndex {
   /// Committed-update counter; written under mu_ exclusive, read lock-free
   /// (epoch-lag accounting).
   std::atomic<uint64_t> commit_epoch_{0};
-  /// Version chain + snapshot registry (drain, epoch reclamation). Seeded
-  /// with the base size as the next row id; declared after `next_row_id_`.
+  /// Version chain + snapshot registry (epoch reclamation, destructor
+  /// drain). Seeded with the pristine version; declared last.
   mutable SnapshotManager snapshots_;
 };
 

@@ -67,8 +67,9 @@ Status DurableIndex::Checkpoint(uint64_t* epoch_out) {
 
   CheckpointImage image;
   {
-    // 2. One consistent epoch of the logical state. The pin also holds the
-    // base column and wrapped index stable (a fold would drain us first).
+    // 2. One consistent epoch of the logical state. The pin also carries
+    // the base generation epoch E's side stores apply to, so the image
+    // never pairs them with a newer base a concurrent fold published.
     Snapshot snap = index_->CaptureSnapshot();
     // The image needs the FULL state at the pinned epoch — `snap.version()`
     // is only the consolidated base, so fold the chain suffix into one
@@ -78,14 +79,14 @@ Status DurableIndex::Checkpoint(uint64_t* epoch_out) {
     image.next_row_id = v.next_row_id;
     image.inserts = std::move(v.inserts);
     image.anti_matter = std::move(v.anti_matter);
-    const Column* base = index_->base_column();
-    image.column_name = base->name();
-    image.base_values = base->values();
-    // 3. The cracked state, captured beside live queries under piece read
-    // latches. Physical reorganization is epoch-independent (cracks never
-    // change logical content), so any tiling of this base is consistent
-    // with epoch E.
-    auto* cracking = dynamic_cast<CrackingIndex*>(index_->base_index());
+    const BaseGeneration& gen = *v.generation;
+    image.column_name = gen.base.name();
+    image.base_values = gen.base.values();
+    // 3. The cracked state of that generation, captured beside live
+    // queries under piece read latches. Physical reorganization is
+    // epoch-independent (cracks never change logical content), so any
+    // tiling of this base is consistent with epoch E.
+    auto* cracking = dynamic_cast<CrackingIndex*>(gen.index.get());
     if (cracking != nullptr) {
       s = cracking->ExportAdaptedState(&image.adapted);
       if (!s.ok()) return s;

@@ -33,15 +33,11 @@ struct SessionOptions {
   /// User-transaction identity for update operations; 0 auto-assigns a
   /// globally unique id that cannot collide with small hand-picked test ids.
   uint64_t txn_id = 0;
-  /// MVCC reads: stamp `QueryContext::snapshot_reads` on every query this
-  /// session submits, so an `UpdatableIndex` answers it against a pinned
-  /// epoch snapshot of its differential side stores instead of holding the
-  /// side-table latch across the read. Capture is per query execution —
-  /// each ticket of an async batch pins its own epoch, so every answer is
-  /// individually consistent (repeatable against its snapshot) while the
-  /// batch as a whole observes the update stream progressing. Each capture
-  /// is one O(1) pin; indexes without a differential layer ignore the
-  /// flag.
+  /// Unread. Every read of an `UpdatableIndex` is a snapshot read: capture
+  /// is per query execution (each ticket of an async batch pins its own
+  /// epoch) unless a `BeginSnapshot` scope pins one epoch for all of them.
+  /// The field stays only because the repository benchmark assigns it;
+  /// the next benchmark change deletes it.
   bool snapshot_reads = false;
 };
 

@@ -122,9 +122,8 @@ Status Client::Rpc(FrameType type, const std::string& payload,
   }
 }
 
-Status Client::OpenSession(bool snapshot_reads, uint32_t client_id) {
+Status Client::OpenSession(bool /*snapshot_reads*/, uint32_t client_id) {
   OpenSessionReq req;
-  if (snapshot_reads) req.flags |= OpenSessionReq::kFlagSnapshotReads;
   req.client_id = client_id;
   Frame reply;
   Status s = Rpc(FrameType::kOpenSession, req.Encode(), FrameType::kOpenOk,

@@ -63,7 +63,9 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// \brief OPEN_SESSION handshake; records the server-assigned session id
-  /// in `session_id()`.
+  /// in `session_id()`. The bool is unread — every read of an updatable
+  /// index is a snapshot read — and stays only because existing callers
+  /// pass it; it goes with the next protocol change.
   Status OpenSession(bool snapshot_reads = false, uint32_t client_id = 0);
 
   /// \brief Server-assigned session id (0 before `OpenSession`).

@@ -100,13 +100,10 @@ Status TryDecodeFrame(const uint8_t* data, size_t size, size_t max_frame_bytes,
 
 /// \brief OPEN_SESSION request payload.
 struct OpenSessionReq {
-  /// Bit 0: request MVCC snapshot reads for every query of the session.
+  /// Session flags; no bit is defined, and the server ignores them.
   uint8_t flags = 0;
   /// Client identity stamped on contexts; 0 auto-assigns the session id.
   uint32_t client_id = 0;
-
-  /// \brief Flag bit for `SessionOptions::snapshot_reads`.
-  static constexpr uint8_t kFlagSnapshotReads = 0x01;
 
   /// \brief Serializes the payload.
   std::string Encode() const;

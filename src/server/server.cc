@@ -249,7 +249,6 @@ void Server::HandleOpenSession(const std::shared_ptr<Connection>& conn,
   SessionOptions sopts;
   sopts.config = opts_.index_config;
   sopts.client_id = req.client_id;
-  sopts.snapshot_reads = (req.flags & OpenSessionReq::kFlagSnapshotReads) != 0;
   conn->session =
       Session::OnIndex(index_, engine_pool_.get(), std::move(sopts));
   OpenOkMsg ok;
@@ -469,7 +468,13 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
     add("consolidated_deltas", ls.consolidated_deltas());
   };
   put_latch_stats("index.side.", index_->latch_stats());
-  put_latch_stats("index.base.", index_->base_index()->latch_stats());
+  {
+    // Read the base stats through a pin: a concurrent checkpoint frees the
+    // current generation once nothing pins it.
+    const Snapshot pin = index_->CaptureSnapshot();
+    put_latch_stats("index.base.",
+                    pin.version().generation->index->latch_stats());
+  }
   // Durability: WAL counters, recovery outcome, checkpoint progress.
   if (durable_ != nullptr) {
     const WalStats ws = durable_->wal_stats();

@@ -133,7 +133,7 @@ TEST(ProtocolFrameTest, PipelinedFramesDecodeOneAtATime) {
 
 TEST(ProtocolPayloadTest, OpenSessionRoundTrip) {
   OpenSessionReq req;
-  req.flags = OpenSessionReq::kFlagSnapshotReads;
+  req.flags = 0x01;
   req.client_id = 77;
   OpenSessionReq back;
   ASSERT_TRUE(back.Decode(req.Encode()).ok());

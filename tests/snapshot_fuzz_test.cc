@@ -5,12 +5,21 @@
 // UpdatableIndex — serialized writers committing inserts / base deletes /
 // cancellations, readers pinning epochs and verifying them long after the
 // live state has moved on, sessions holding multi-query snapshot scopes,
-// and a checkpointer folding the differential layer mid-stream. A logical
+// and a checkpointer folding the differential layer mid-stream; pin
+// readers also checkpoint themselves while holding their pin. A logical
 // live-set oracle is kept in lockstep with the commit stream under one
 // mutex; every pin copies the oracle AT CAPTURE TIME, and every query the
 // pin (or scope) answers later is compared against that frozen copy for
-// count, sum, rowID set, and min/max. Consolidation thresholds are set low
-// so chains fold repeatedly behind held pins.
+// count, sum, rowID set, and min/max.
+//
+// Consolidation axis: every run executes twice, once with tiny
+// consolidation thresholds (chains fold repeatedly behind held pins) and
+// once with thresholds of 4096 (no consolidation in the run: every read
+// folds a long chain). Half the query ranges are drawn from an inner band
+// of the domain while updates hit all of it, so each such query's chain
+// carries deltas on both sides of its range that the range-scoped fold
+// must skip; the other half span the whole domain, so ranges that touch
+// its edges (or cover it, keeping every delta) are folded too.
 //
 // Reproduction: the seed is printed on every run; replay a failure with
 //   AI_FUZZ_SEED=<seed> ./snapshot_fuzz_test
@@ -83,7 +92,20 @@ RangeAnswer OracleAnswer(const std::vector<std::pair<Value, RowId>>& live,
 }
 
 constexpr Value kDomain = 4000;
+/// Inner-band query ranges stay inside [kMargin, kDomain - kMargin);
+/// updates do not.
+constexpr Value kMargin = 400;
 constexpr size_t kBaseRows = 1500;
+
+/// A random query range [lo, hi) (possibly empty): inside the inner band
+/// or anywhere in the domain, one or the other at even odds.
+std::pair<Value, Value> QueryRange(Rng* rng) {
+  const Value margin = rng->Uniform(2) == 0 ? kMargin : 0;
+  Value lo = rng->UniformRange(margin, kDomain - margin);
+  Value hi = rng->UniformRange(margin, kDomain - margin);
+  if (lo > hi) std::swap(lo, hi);
+  return {lo, hi};
+}
 
 /// Shared state: the index plus a logical oracle advanced in lockstep with
 /// every commit (and every checkpoint fold) under `mu`. Readers copy the
@@ -104,20 +126,21 @@ struct Harness {
     uint64_t seq;
   };
 
-  explicit Harness(uint64_t seed)
+  Harness(uint64_t seed, bool long_chain)
       : column(Column::UniformRandom("A", kBaseRows, 0, kDomain,
                                      static_cast<uint64_t>(seed | 1))),
-        index(column, Config()) {
+        index(column, Config(long_chain)) {
     base_vals = column.values();
   }
 
-  static IndexConfig Config() {
+  static IndexConfig Config(bool long_chain) {
     IndexConfig config;
     config.method = IndexMethod::kCrack;
-    // Low thresholds: chains consolidate every handful of commits, so pins
-    // routinely survive multiple consolidations behind them.
-    config.snapshot_consolidate_min = 4;
-    config.snapshot_consolidate_max = 64;
+    // Tiny thresholds: chains consolidate every handful of commits, so pins
+    // routinely survive multiple consolidations behind them. 4096: no
+    // chain consolidates within a run, so reads fold up to ~850 deltas.
+    config.snapshot_consolidate_min = long_chain ? 4096 : 4;
+    config.snapshot_consolidate_max = long_chain ? 4096 : 8;
     return config;
   }
 
@@ -207,9 +230,19 @@ void WriterLoop(Harness* h, uint64_t seed, int commits) {
   }
 }
 
+/// Folds the differential layer and replays the fold on the oracle, under
+/// the oracle mutex so both renumberings land atomically. The caller may
+/// hold pins of its own: a checkpoint never waits for one.
+void CheckpointOne(Harness* h) {
+  std::lock_guard<std::mutex> lk(h->mu);
+  ASSERT_TRUE(h->index.Checkpoint().ok());
+  h->FoldLocked();
+}
+
 /// Pins an epoch (oracle copy + capture atomically), then verifies random
 /// ranges against the frozen copy across all four query kinds while other
-/// threads commit, consolidate, and checkpoint behind the pin.
+/// threads commit, consolidate, and checkpoint behind the pin; now and
+/// then it checkpoints itself while still holding the pin.
 void PinReaderLoop(Harness* h, uint64_t seed, int pins, int ranges_per_pin) {
   Rng rng(seed);
   QueryContext ctx;
@@ -226,9 +259,8 @@ void PinReaderLoop(Harness* h, uint64_t seed, int pins, int ranges_per_pin) {
       }
     }
     for (int q = 0; q < ranges_per_pin; ++q) {
-      Value lo = rng.UniformRange(0, kDomain);
-      Value hi = rng.UniformRange(0, kDomain);
-      if (lo > hi) std::swap(lo, hi);
+      if (rng.Uniform(8) == 0) CheckpointOne(h);
+      const auto [lo, hi] = QueryRange(&rng);
       const RangeAnswer want = OracleAnswer(frozen, lo, hi);
       QueryResult r;
       if (!h->index.ExecuteSnapshot(Query::Count("", "", lo, hi), snap, &ctx,
@@ -287,9 +319,7 @@ void ScopedReaderLoop(Harness* h, uint64_t seed, int scopes,
                       int queries_per_scope) {
   Rng rng(seed);
   ThreadPool pool(1);
-  SessionOptions sopts;
-  sopts.snapshot_reads = true;
-  auto session = Session::OnIndex(&h->index, &pool, sopts);
+  auto session = Session::OnIndex(&h->index, &pool, SessionOptions{});
   QueryContext uctx;
   for (int s = 0; s < scopes && !h->failed.load(); ++s) {
     std::vector<std::pair<Value, RowId>> frozen;
@@ -306,9 +336,7 @@ void ScopedReaderLoop(Harness* h, uint64_t seed, int scopes,
       }
     }
     for (int q = 0; q < queries_per_scope && !h->failed.load(); ++q) {
-      Value lo = rng.UniformRange(0, kDomain);
-      Value hi = rng.UniformRange(0, kDomain);
-      if (lo > hi) std::swap(lo, hi);
+      const auto [lo, hi] = QueryRange(&rng);
       const RangeAnswer want = OracleAnswer(frozen, lo, hi);
       uint64_t c = 0;
       int64_t sum = 0;
@@ -336,31 +364,22 @@ void ScopedReaderLoop(Harness* h, uint64_t seed, int scopes,
   }
 }
 
-/// Folds the differential layer mid-stream; each fold drains every pin in
-/// flight, rebases the chain, renumbers rowIDs, and bumps the base
-/// generation. The oracle mutex covers the whole fold so the oracle's
-/// replayed renumbering lands atomically with the index's — a pin drain in
-/// progress only ever waits on readers, which never take the mutex while
-/// pinned.
+/// Folds the differential layer mid-stream; each fold publishes the next
+/// base generation (pins in flight keep theirs), resets the chain and
+/// renumbers rowIDs.
 void CheckpointerLoop(Harness* h, int checkpoints) {
   for (int c = 0; c < checkpoints && !h->failed.load(); ++c) {
-    {
-      std::lock_guard<std::mutex> lk(h->mu);
-      ASSERT_TRUE(h->index.Checkpoint().ok());
-      h->FoldLocked();
-    }
+    CheckpointOne(h);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 }
 
-TEST(SnapshotFuzzTest, RandomizedCommitSnapshotDifferential) {
-  const uint64_t seed = FuzzSeed();
-  std::printf("[snapshot_fuzz] seed=%" PRIu64
-              "  (replay: AI_FUZZ_SEED=%" PRIu64 ")\n",
-              seed, seed);
+/// One seeded run over one consolidation setting.
+void RunDifferential(uint64_t seed, bool long_chain) {
+  SCOPED_TRACE(long_chain ? "consolidation 4096" : "tiny consolidation");
   Rng meta(seed);
   const int n_threads = 2 + static_cast<int>(meta.Uniform(7));  // 2..8
-  Harness h(seed);
+  Harness h(seed, long_chain);
 
   std::vector<std::thread> threads;
   // Thread 0 is always a writer, thread 1 always a pinning reader; extra
@@ -401,7 +420,20 @@ TEST(SnapshotFuzzTest, RandomizedCommitSnapshotDifferential) {
   EXPECT_EQ(h.index.snapshots().active_snapshots(), 0u);
   // The stream was long enough to exercise the fold machinery.
   EXPECT_GE(h.index.snapshots().deltas_published(), 500u);
-  EXPECT_GT(h.index.snapshots().consolidations(), 0u);
+  if (long_chain) {
+    EXPECT_EQ(h.index.snapshots().consolidations(), 0u);
+  } else {
+    EXPECT_GT(h.index.snapshots().consolidations(), 0u);
+  }
+  EXPECT_GT(h.index.snapshots().base_generation(), 0u);
+}
+
+TEST(SnapshotFuzzTest, RandomizedCommitSnapshotDifferential) {
+  const uint64_t seed = FuzzSeed();
+  std::printf("[snapshot_fuzz] seed=%" PRIu64
+              "  (replay: AI_FUZZ_SEED=%" PRIu64 ")\n",
+              seed, seed);
+  for (bool long_chain : {false, true}) RunDifferential(seed, long_chain);
 }
 
 TEST(SnapshotFuzzTest, FixedSeedReplaysDeterministically) {
@@ -409,7 +441,7 @@ TEST(SnapshotFuzzTest, FixedSeedReplaysDeterministically) {
   // must produce identical commit streams and final logical state. This is
   // the replay property the printed seed relies on.
   auto run = [](uint64_t seed) {
-    Harness h(seed);
+    Harness h(seed, /*long_chain=*/false);
     Rng rng(seed * 31 + 1);
     QueryContext ctx;
     for (int i = 0; i < 400; ++i) CommitOne(&h, &rng, &ctx);

@@ -246,6 +246,9 @@ TEST(UpdatableIndexTest, ConcurrentReadersAndWriters) {
   ASSERT_TRUE(
       index.RangeCount(ValueRange{-1000000, 1000000}, &ctx, &count).ok());
   EXPECT_EQ(count, index.num_rows());
+  // Every read is a snapshot read: none took the side-table latch.
+  EXPECT_EQ(index.latch_stats().read_acquires(), 0u);
+  EXPECT_GE(index.latch_stats().snapshot_reads(), 4u * 100u + 1u);
 }
 
 class UpdatableOverMethodsTest : public ::testing::TestWithParam<IndexMethod> {
